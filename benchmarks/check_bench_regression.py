@@ -81,7 +81,6 @@ def check(baseline: dict, fresh: dict, tolerance: float) -> list:
     failures += _check_threaded(baseline, fresh, tolerance)
     failures += _check_memory(fresh)
     failures += _check_trace_overhead(baseline, fresh)
-    failures += _check_winograd_residency(baseline, fresh)
     failures += _check_workers_scaling(baseline, fresh, tolerance)
     failures += _check_artifact(fresh)
     failures += _check_overload(baseline, fresh, tolerance)
@@ -412,54 +411,6 @@ def _check_trace_overhead(baseline: dict, fresh: dict) -> list:
             f"{entry.get('ms_pristine')} ms)"
         ]
     return []
-
-
-def _check_winograd_residency(baseline: dict, fresh: dict) -> list:
-    """Transform-domain residency rules (engine reports only).
-
-    Host-independent, enforced on every report that carries the entry:
-
-    * the compiled chain actually got residency edges — the pass
-      silently declining on its own showcase workload is a compiler
-      regression, not a measurement artifact;
-    * ``speedup`` > 1.0 — resident vs round-trip is a same-run
-      interleaved min-of-N ratio on one host, so keeping taps resident
-      must never be a pessimization wherever it is measured;
-    * ``steady_state_allocations`` == 0 — the tap tensors live in
-      planned arena slots, and residency must not reopen per-run
-      allocations.
-
-    The entry disappearing after a baseline carried it is itself a
-    failure — the gate must not silently stop being measured.
-    """
-    entry = fresh.get("winograd_residency")
-    if not entry:
-        if baseline.get("winograd_residency"):
-            return [
-                "winograd_residency entry disappeared from the fresh report"
-            ]
-        return []
-    failures = []
-    if entry.get("residency_edges", 0) < 1:
-        failures.append(
-            "residency pass wired zero edges on "
-            f"{entry.get('workload')} — eligibility regression"
-        )
-    speedup = entry.get("speedup")
-    if speedup is None or not speedup > 1.0:
-        failures.append(
-            f"transform-domain residency speedup {speedup} must be "
-            f"strictly > 1.0x on {entry.get('workload')} (resident "
-            f"{entry.get('ms_resident')} ms vs round-trip "
-            f"{entry.get('ms_roundtrip')} ms)"
-        )
-    if entry.get("steady_state_allocations", 0) != 0:
-        failures.append(
-            "resident plan broke the zero-allocation contract: "
-            f"{entry['steady_state_allocations']} steady-state allocations "
-            f"on {entry.get('workload')}"
-        )
-    return failures
 
 
 def _check_memory(fresh: dict) -> list:

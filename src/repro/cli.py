@@ -692,34 +692,6 @@ def run_compile(args) -> int:
             return 2
         plan_info = manifest["plan"]
         tensors = manifest["tensors"]
-        # Residency edges straight off the encoded step docs: the shared
-        # producer/consumer dict appears as one __obj__ plus a __ref__
-        # back-edge (order depends on which step encoded it first).
-        out_by_id = {}
-        for i, step_doc in enumerate(manifest["steps"]):
-            attrs = (step_doc.get("attrs") or {}).get("v") or {}
-            ro = attrs.get("resident_out")
-            if isinstance(ro, dict):
-                ref = ro.get("__obj__", ro.get("__ref__"))
-                if ref is not None:
-                    out_by_id[ref] = (i, ro.get("v") or {})
-        residency = []
-        for j, step_doc in enumerate(manifest["steps"]):
-            attrs = (step_doc.get("attrs") or {}).get("v") or {}
-            rs = attrs.get("resident_src")
-            if not isinstance(rs, dict):
-                continue
-            ref = rs.get("__ref__", rs.get("__obj__"))
-            if ref in out_by_id:
-                i, ro = out_by_id[ref]
-                residency.append(
-                    {
-                        "producer": i,
-                        "consumer": j,
-                        "tile": f"F({ro.get('m')},{ro.get('r')})",
-                        "per_tap": bool(ro.get("per_tap")),
-                    }
-                )
         summary = {
             "path": args.inspect,
             "format_version": manifest["format"]["version"],
@@ -732,7 +704,6 @@ def run_compile(args) -> int:
             "input_shape": plan_info["input_shape"],
             "tensors": len(tensors),
             "tensor_bytes": sum(t["nbytes"] for t in tensors),
-            "residency": residency,
         }
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0

@@ -71,12 +71,10 @@ MAGIC = b"REPROPLN"
 #: Current artifact format version.  The loader rejects any other value
 #: (forward *and* backward: a version bump means the layout changed) —
 #: see the compatibility policy in ``docs/artifact-format.md``.
-#: Version 2: plans may carry transform-domain residency edges
-#: (``resident_out``/``resident_src`` shared dicts) and per-tap scale
-#: grids (``tap_fv``/``tap_fh``/``qmax_v``/``qmax_h`` in the ``i8``
-#: block); version-1 readers would silently run resident steps as plain
-#: round trips, so the version gate rejects rather than degrades.
-FORMAT_VERSION = 2
+#: Version 3 dropped the transform-domain residency and per-tap grid
+#: attributes version 2 could carry; a version-2 file may hold steps
+#: this reader cannot run, so it is rejected rather than degraded.
+FORMAT_VERSION = 3
 
 #: Fixed header: magic, format version, header size, total file size,
 #: manifest offset, manifest length, SHA-256 of bytes [header_size, file

@@ -61,11 +61,6 @@ import numpy as np
 #: Largest magnitude whose integers are all exactly representable.
 _DTYPE_BOUNDS = ((np.float32, 2.0**24), (np.float64, 2.0**53))
 
-#: Deepest dyadic refinement a per-tap scale grid may apply (2^-8): past
-#: this the analytic tap bounds are far below the observer's resolution
-#: and further refinement only sharpens clipping.
-_PER_TAP_MAX_SHIFT = 8
-
 #: Ops with a native int8 kernel.
 INT8_OPS = ("conv2d", "winograd_conv2d", "linear")
 
@@ -336,28 +331,9 @@ def _runtime_winograd(attrs: Dict) -> None:
     s_x = float(attrs["q_input"]["scale"])
     s_v = float(attrs["q_input_t"]["scale"])
     s_h = float(attrs["q_hadamard"]["scale"])
-    if i8.get("per_tap"):
-        # Per-tap transform-domain grids (see enable_per_tap): v codes of
-        # tap (i, j) live on the dyadically finer ``s_v · 2^fv[i,j]``
-        # grid, Hadamard codes on ``s_h · 2^fh[i,j]``.  The requant
-        # multipliers carry both grids, stored in the accumulator dtypes
-        # so the elementwise requant keeps the accumulators' own ufunc
-        # loops (a float64 multiplier array would silently drag every
-        # float32 requant through float64 loops); the folded atk (columns
-        # scaled by 2^(fh - min fh)) leaves the output-transform
-        # accumulator on the uniform ``2^min(fh)`` grid.
-        t = attrs["t"]
-        dt_v, dt_h = i8["dts"][0], i8["dts"][1]
-        fv, fh = i8["tap_fv"], i8["tap_fh"]
-        i8["d_v"] = np.ldexp(s_x / 4.0 ** i8["eb"], -fv).reshape(-1, 1).astype(dt_v)
-        i8["d_h"] = (
-            np.ldexp(s_v * i8["s_wt"], fv - fh).reshape(t, t, 1, 1, 1).astype(dt_h)
-        )
-        d_z = float(np.ldexp(s_h, int(fh.min()))) / 4.0 ** i8["ea"]
-    else:
-        i8["d_v"] = s_x / 4.0 ** i8["eb"]
-        i8["d_h"] = s_v * i8["s_wt"]
-        d_z = s_h / 4.0 ** i8["ea"]
+    i8["d_v"] = s_x / 4.0 ** i8["eb"]
+    i8["d_h"] = s_v * i8["s_wt"]
+    d_z = s_h / 4.0 ** i8["ea"]
     q_out = attrs.get("q_output")
     if q_out is not None:
         i8["rq_out"] = {"d": d_z, "bias": None, "q": q_out}
@@ -375,99 +351,6 @@ def prepare_runtime(op: str, attrs: Dict) -> None:
         _runtime_winograd(attrs)
     else:
         _runtime_conv_linear(attrs)
-
-
-def enable_per_tap(step) -> bool:
-    """Switch a frozen Winograd step to per-tap transform-domain scales.
-
-    Tap-wise transform-domain quantization ("Going Further With Winograd
-    Convolutions"): the taps of ``BᵀdB`` have very different dynamic
-    ranges — tap ``(i, j)``'s accumulator is bounded by the L1 norm of
-    row ``i·t+j`` of the integer Kronecker matrix — so a single scalar
-    scale wastes code-range resolution on the narrow taps.  This gives
-    each tap a *dyadically* finer grid ``scale · 2^f`` (``f ≤ 0``) for
-    the ``q_input_t`` and ``q_hadamard`` stages, paired with a widened
-    per-tap clip ceiling ``qmax · 2^-f`` so every tap keeps the stage's
-    full calibrated range ``scale · qmax``: narrow taps gain fractional
-    bits, and no value a uniform grid could represent ever clips — the
-    refinement can only reduce rounding error, never introduce new
-    saturation.
-
-    * the grids cost nothing at run time — the per-tap factors ride the
-      existing requant multipliers (``d_v``/``d_h`` and the clip
-      ceilings become tap-shaped arrays broadcasting over the same
-      layouts);
-    * exactness against the int64 oracle is preserved by construction:
-      powers of two are exact in float, and the accumulators the wider
-      codes *do* grow — the Hadamard contraction and the output
-      transform, whose columns absorb ``2^(fh - min fh)`` — are
-      re-proven by :func:`_pick_dtype` before anything is committed.
-
-    Returns ``True`` when per-tap grids were enabled (or already were).
-    Returns ``False`` — leaving the step on uniform scales — when the
-    step is ineligible, every tap already spans the full range, or a
-    grown accumulator cannot be bounded in an exact float dtype.
-    """
-    attrs = step.attrs
-    i8 = attrs.get("i8")
-    if not (i8 and i8.get("ok") and "btk" in i8):
-        return False
-    if i8.get("per_tap"):
-        return True
-    if not _all_frozen(step):
-        return False
-    t = attrs["t"]
-    tt = t * t
-    qv, qh = _qmax(attrs["q_input_t"]), _qmax(attrs["q_hadamard"])
-    # Refinement budget per tap: how far its worst-case accumulator sits
-    # below the widest tap's (btk row L1 for the input transform; weight-
-    # code L1 over the contraction axis, worst case across groups and
-    # out-channels, for the Hadamard stage).
-    l1_v = np.abs(i8["btk"].astype(np.float64)).sum(axis=1)
-    fv = np.ceil(np.log2(l1_v / l1_v.max())).astype(np.int64)
-    np.clip(fv, -_PER_TAP_MAX_SHIFT, 0, out=fv)
-    w1 = (
-        np.abs(i8["u2q"].astype(np.float64)).sum(axis=4).max(axis=(2, 3)).reshape(tt)
-    )
-    w1 = np.maximum(w1, 1.0)
-    fh = np.ceil(np.log2(w1 / w1.max())).astype(np.int64)
-    np.clip(fh, -_PER_TAP_MAX_SHIFT, 0, out=fh)
-    if not (np.any(fv) or np.any(fh)):
-        return False  # uniform tap ranges: nothing to refine
-    # Re-prove the grown accumulators.  v codes now reach qv·2^-fv, so
-    # the Hadamard bound is the worst per-tap (weight L1) × (v ceiling)
-    # product; h codes reach qh·2^-fh, and folding 2^(fh - min fh) into
-    # the output-transform columns leaves its accumulator on the uniform
-    # 2^min(fh) grid with bound |atk|·2^-min(fh) · qh.
-    qmax_v = np.ldexp(float(qv), -fv)
-    qmax_h = np.ldexp(float(qh), -fh)
-    bound_h = float(np.max(w1 * qmax_v))
-    dt_h = _pick_dtype(bound_h)
-    if dt_h is None:
-        return False
-    atk64 = i8["atk"].astype(np.float64)
-    atk = atk64 * np.exp2(fh - fh.min())[None, :]
-    bound_z = float(np.abs(atk64).sum(axis=1).max()) * float(
-        np.ldexp(float(qh), -int(fh.min()))
-    )
-    dt_z = _pick_dtype(bound_z)
-    if dt_z is None:
-        return False  # folded accumulator unprovable: keep uniform scales
-    dt_v = i8["dts"][0]
-    i8["atk"] = atk.astype(dt_z)
-    i8["u2q"] = np.ascontiguousarray(i8["u2q"].astype(dt_h))
-    i8["dts"] = (dt_v, dt_h, dt_z)
-    i8["bounds"] = (i8["bounds"][0], bound_h, bound_z)
-    i8["tap_fv"] = fv
-    i8["tap_fh"] = fh
-    # Clip ceilings in the accumulator dtypes (exact: qmax · 2^-f stays
-    # within the float32 integer range for f ≥ -_PER_TAP_MAX_SHIFT), for
-    # the same ufunc-loop reason as the multipliers in _runtime_winograd.
-    i8["qmax_v"] = qmax_v.reshape(-1, 1).astype(dt_v)
-    i8["qmax_h"] = qmax_h.reshape(t, t, 1, 1, 1).astype(dt_h)
-    i8["per_tap"] = True
-    _runtime_winograd(attrs)
-    return True
 
 
 # ---------------------------------------------------------------------------

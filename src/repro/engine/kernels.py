@@ -32,8 +32,7 @@ obtained this way (or fresh GEMM outputs) — never an input register.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -531,35 +530,6 @@ def _winograd_geometry(h, w, m, r, pad):
     return out_h, out_w, th, tw
 
 
-# -- transform-domain residency ---------------------------------------------
-#
-# A resident edge (see repro.engine.compile._plan_residency) hands the
-# consumer a (N, C, th, tw, t, t) tap tensor instead of a spatial
-# activation: the producer runs the consumer's input stages + forward
-# tile transform as its epilogue tail, and the consumer skips its whole
-# prologue.  The tap register's shape no longer determines the spatial
-# extent (th·m ≥ out_h), so the producer stashes the consumer's input
-# (h, w) here, keyed by the identity of the shared residency dict.
-# Resident steps are excluded from batch chunking (see plan.py), so the
-# producer and consumer of one edge always execute sequentially on the
-# run's calling thread — the stash is thread-local and each entry is
-# written by the producer immediately before the consumer pops it.  A
-# producer re-run after a failed run simply overwrites its entry.
-
-_resident_hw = threading.local()
-
-
-def _stash_resident_hw(ro: Dict, hw: Tuple[int, int]) -> None:
-    stash = getattr(_resident_hw, "map", None)
-    if stash is None:
-        stash = _resident_hw.map = {}
-    stash[id(ro)] = hw
-
-
-def _pop_resident_hw(ro: Dict) -> Tuple[int, int]:
-    return _resident_hw.map.pop(id(ro))
-
-
 @register_kernel("winograd_conv2d")
 def winograd_reference(inputs, attrs):
     """Bit-faithful mirror of ``WinogradConv2d.forward`` in eval mode.
@@ -639,55 +609,36 @@ def winograd_fast(inputs, attrs):
     m, r, t, g = attrs["m"], attrs["r"], attrs["t"], attrs["groups"]
     k, pad = attrs["out_channels"], attrs["pad"]
 
-    rin = attrs.get("resident_src")
-    if rin is not None:
-        # The input arrives resident in the transform domain: a
-        # (N, C, th, tw, t, t) tap tensor whose values already passed this
-        # step's q_input / q_input_t stages in the producer's epilogue
-        # tail — the whole prologue (quantize, pad, tile, Bᵀ transform)
-        # is skipped.  The logical layout matches the btk path's ``v``
-        # exactly, so the Hadamard repack below is the identical copy.
-        n, c, th, tw = x.shape[:4]
-        h, w = _pop_resident_hw(rin)
-        out_h, out_w = h + 2 * pad - r + 1, w + 2 * pad - r + 1
-        tt, p = t * t, n * th * tw
-        v2 = take_scratch("v2", (t, t, g, c // g, p), x.dtype)
-        v2.reshape(tt, g, c // g, n, th * tw)[...] = np.transpose(
-            x.reshape(n, g, c // g, th * tw, tt), (4, 1, 2, 0, 3)
-        )
-    else:
-        x = _fq_scratch(x, attrs.get("q_input"), "qx")
-        n, c, h, w = x.shape
-        out_h, out_w, th, tw = _winograd_geometry(h, w, m, r, pad)
-        tt, p = t * t, n * th * tw
+    x = _fq_scratch(x, attrs.get("q_input"), "qx")
+    n, c, h, w = x.shape
+    out_h, out_w, th, tw = _winograd_geometry(h, w, m, r, pad)
+    tt, p = t * t, n * th * tw
 
-        need_h = th * m + r - 1
-        need_w = tw * m + r - 1
-        if pad == 0 and need_h == h and need_w == w:
-            xp = x  # tiles already cover the input exactly: no pad copy
-        else:
-            xp = take_scratch("xp", (n, c, need_h, need_w), np.float32, zero=True)
-            xp[:, :, pad : pad + h, pad : pad + w] = x
-        tiles = _strided_patches(xp, t, t, m, m)  # view, no copy
-        if btk is None:  # large tiles: nested two-stage transform (precision)
-            BT = attrs["BT"]
-            v = np.matmul(np.matmul(BT, tiles), BT.transpose())
-            v = fake_quant(v, attrs.get("q_input_t"), out=v)
-            v2 = take_scratch("v2", (t, t, g, c // g, p), v.dtype)
-            v2.reshape(t, t, g, c // g, n, th * tw)[...] = np.transpose(
-                v.reshape(n, g, c // g, th, tw, t, t), (5, 6, 1, 2, 0, 3, 4)
-            ).reshape(t, t, g, c // g, n, th * tw)
-        else:
-            tmat = take_scratch("tiles", (n * c * th * tw, tt), x.dtype)
-            tmat.reshape(n, c, th, tw, t, t)[...] = tiles
-            v = np.matmul(
-                tmat, btk, out=take_scratch("v", (n * c * th * tw, tt), x.dtype)
-            )
-            v = fake_quant(v, attrs.get("q_input_t"), out=v)
-            v2 = take_scratch("v2", (t, t, g, c // g, p), v.dtype)
-            v2.reshape(tt, g, c // g, n, th * tw)[...] = np.transpose(
-                v.reshape(n, g, c // g, th * tw, tt), (4, 1, 2, 0, 3)
-            )
+    need_h = th * m + r - 1
+    need_w = tw * m + r - 1
+    if pad == 0 and need_h == h and need_w == w:
+        xp = x  # tiles already cover the input exactly: no pad copy
+    else:
+        xp = take_scratch("xp", (n, c, need_h, need_w), np.float32, zero=True)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+    tiles = _strided_patches(xp, t, t, m, m)  # view, no copy
+    if btk is None:  # large tiles: nested two-stage transform (precision)
+        BT = attrs["BT"]
+        v = np.matmul(np.matmul(BT, tiles), BT.transpose())
+        v = fake_quant(v, attrs.get("q_input_t"), out=v)
+        v2 = take_scratch("v2", (t, t, g, c // g, p), v.dtype)
+        v2.reshape(t, t, g, c // g, n, th * tw)[...] = np.transpose(
+            v.reshape(n, g, c // g, th, tw, t, t), (5, 6, 1, 2, 0, 3, 4)
+        ).reshape(t, t, g, c // g, n, th * tw)
+    else:
+        tmat = take_scratch("tiles", (n * c * th * tw, tt), x.dtype)
+        tmat.reshape(n, c, th, tw, t, t)[...] = tiles
+        v = np.matmul(tmat, btk, out=take_scratch("v", (n * c * th * tw, tt), x.dtype))
+        v = fake_quant(v, attrs.get("q_input_t"), out=v)
+        v2 = take_scratch("v2", (t, t, g, c // g, p), v.dtype)
+        v2.reshape(tt, g, c // g, n, th * tw)[...] = np.transpose(
+            v.reshape(n, g, c // g, th * tw, tt), (4, 1, 2, 0, 3)
+        )
     had = np.matmul(
         u2, v2, out=take_scratch("had", (t, t, g, k // g, p), v2.dtype)
     )  # (t, t, g, K/g, P)
@@ -703,9 +654,6 @@ def winograd_fast(inputs, attrs):
         y = np.matmul(hadT, atk, out=take_scratch("ymat", (k * p, m * m), had.dtype))
     y = fake_quant(y, attrs.get("q_output"), out=y)
 
-    ro = attrs.get("resident_out")
-    if ro is not None:
-        return _emit_resident_fast(y, attrs, ro, n, k, th, tw, out_h, out_w)
     yout = take_scratch("y", (n, k, th * m, tw * m), np.float32)
     yout.reshape(n, k, th, m, tw, m)[...] = np.transpose(
         y.reshape(k, n, th, tw, m, m), (1, 0, 2, 4, 3, 5)
@@ -713,84 +661,7 @@ def winograd_fast(inputs, attrs):
     y = yout
     if th * m != out_h or tw * m != out_w:
         y = y[:, :, :out_h, :out_w]
-    y = _epilogue(y, attrs, k, quantize_output=False)
-    return y
-
-
-def _emit_resident_fast(
-    y: np.ndarray, attrs: Dict, ro: Dict, n: int, k: int,
-    pth: int, ptw: int, h: int, w: int,
-) -> np.ndarray:
-    """Producer tail of a float resident edge, fused with the epilogue.
-
-    ``y`` is the raw inverse-transform GEMM output, still in the
-    (K·P, m²) layout and already through the ``q_output`` stage.  Bias
-    and fused ReLU are elementwise, so they apply here — in GEMM layout,
-    identical values — and the spatial assembly then lands in a single
-    transpose copy **directly inside the consumer's padded buffer**,
-    whose border is the only part that needs zeroing.  From there the
-    consumer's remaining input stages and forward tile transform run
-    unchanged, and the resulting (N, C, th, tw, t, t) tap tensor goes
-    straight into this step's planned register.  Versus the round-trip
-    schedule this elides the spatial register exchange, the separate
-    spatial assembly buffer, and the full-frame zero fill — all pure
-    copy routing; every arithmetic op runs in the same order on the
-    same values, so bit-identity is preserved.
-    """
-    pm = attrs["m"]
-    m, r, t, pad = ro["m"], ro["r"], ro["t"], ro["pad"]
-    _, _, th, tw = _winograd_geometry(h, w, m, r, pad)
-    tt = t * t
-    need_h, need_w = th * m + r - 1, tw * m + r - 1
-
-    ymat = y.reshape(k, n * pth * ptw, pm, pm)
-    bias = attrs.get("bias")
-    if bias is not None:
-        ymat += bias.reshape(k, 1, 1, 1)
-    if attrs.get("fuse_relu"):
-        np.maximum(ymat, 0.0, out=ymat)
-    src6 = ymat.reshape(k, n, pth, ptw, pm, pm)
-
-    xp = take_scratch("r_xp", (n, k, need_h, need_w), np.float32)
-    if pad or need_h != h or need_w != w:
-        xp[:, :, :pad] = 0.0
-        xp[:, :, pad + h :] = 0.0
-        xp[:, :, :, :pad] = 0.0
-        xp[:, :, :, pad + w :] = 0.0
-    interior = xp[:, :, pad : pad + h, pad : pad + w]
-    if pth * pm == h and ptw * pm == w:
-        # Exact tiling: the strided interior view splits into the
-        # (N, K, th, m, tw, m) tile grid (as_strided guarantees a view,
-        # never a silent copy), so the transpose assignment below is the
-        # *only* spatial pass.
-        s = interior.strides
-        grid = np.lib.stride_tricks.as_strided(
-            interior,
-            (n, k, pth, pm, ptw, pm),
-            (s[0], s[1], s[2] * pm, s[2], s[3] * pm, s[3]),
-        )
-        grid[...] = np.transpose(src6, (1, 0, 2, 4, 3, 5))
-    else:
-        yout = take_scratch("y", (n, k, pth * pm, ptw * pm), np.float32)
-        yout.reshape(n, k, pth, pm, ptw, pm)[...] = np.transpose(
-            src6, (1, 0, 2, 4, 3, 5)
-        )
-        interior[...] = yout[:, :, :h, :w]
-    if ro.get("q_input") is not None:
-        fake_quant(interior, ro["q_input"], out=interior)
-
-    tmat = take_scratch("r_tiles", (n * k * th * tw, tt), np.float32)
-    tmat.reshape(n, k, th, tw, t, t)[...] = _strided_patches(xp, t, t, m, m)
-    out = take_out((n, k, th, tw, t, t), np.float32)
-    vbuf = (
-        out.reshape(n * k * th * tw, tt)
-        if out is not None
-        else np.empty((n * k * th * tw, tt), np.float32)
-    )
-    v = np.matmul(tmat, ro["btk"], out=vbuf)
-    fake_quant(v, ro.get("q_input_t"), out=v)
-    _stash_resident_hw(ro, (h, w))
-    return out if out is not None else v.reshape(n, k, th, tw, t, t)
+    return _epilogue(y, attrs, k, quantize_output=False)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +719,7 @@ def _quantize_codes(x, q, out=None):
     return r
 
 
-def _requant_codes(acc, d, q, bias=None, qmax=None):
+def _requant_codes(acc, d, q, bias=None):
     """Integer accumulator → codes on stage ``q``'s grid, in place.
 
     Composes exactly like ``fake_quant(dequant(acc) [+ bias])``: multiply
@@ -856,18 +727,11 @@ def _requant_codes(acc, d, q, bias=None, qmax=None):
     if the stage sits after one, divide by the stage scale, ``rint``,
     ``clip`` — the same elementwise grid operations, fused onto the
     accumulator with no allocation.
-
-    ``qmax`` overrides the stage's scalar clip ceiling — per-tap grids
-    (see :func:`repro.engine.int8.enable_per_tap`) refine tap ``(i,j)``'s
-    scale to ``scale·2^f`` while widening its ceiling to ``qmax·2^-f``,
-    so the override is a broadcastable array of per-tap ceilings.
     """
     acc *= d
     if bias is not None:
         acc += bias
-    scale = _stage_scale(q)
-    if qmax is None:
-        qmax = q["qmax"]
+    scale, qmax = _stage_scale(q), q["qmax"]
     acc /= scale
     np.rint(acc, out=acc)
     np.clip(acc, -qmax, qmax, out=acc)
@@ -954,59 +818,39 @@ def winograd_int8(inputs, attrs):
     (x,) = inputs
     m, r, t, g = attrs["m"], attrs["r"], attrs["t"], attrs["groups"]
     k, pad = attrs["out_channels"], attrs["pad"]
+    n, c, h, w = x.shape
+    out_h, out_w, th, tw = _winograd_geometry(h, w, m, r, pad)
+    tt, p = t * t, n * th * tw
+    need_h, need_w = th * m + r - 1, tw * m + r - 1
     dt_v, dt_h, dt_z = i8["dts"]
+    aligned = pad == 0 and need_h == h and need_w == w
 
-    rin = attrs.get("resident_src")
-    if rin is not None:
-        # Taps arrive as integer codes on this step's q_input_t grid (the
-        # producer ran our btk GEMM + requant in its epilogue tail) in
-        # the (N, t², C, th, tw) register layout the producer's batched
-        # GEMM wrote directly; undo it into the Hadamard-ready (t², C·P)
-        # order — the same single copy the non-resident path spends
-        # casting ``v`` to the Hadamard dtype.
-        n, c, th, tw = x.shape[0], x.shape[3], x.shape[4], x.shape[5]
-        h, w = _pop_resident_hw(rin)
-        out_h, out_w = h + 2 * pad - r + 1, w + 2 * pad - r + 1
-        tt, p = t * t, n * th * tw
-        v = take_scratch("v_h", (tt, c * p), dt_h)
-        v.reshape(tt, g, c // g, n, th, tw)[...] = np.transpose(
-            x.reshape(n, tt, g, c // g, th, tw), (1, 2, 3, 0, 4, 5)
-        )
+    # Quantize straight into the zero-padded buffer: one pass, and the
+    # zero padding is its own quantization (code(0) = 0).  When the
+    # tiles already cover the input exactly, prequantized codes are
+    # tiled straight off the producer's register with no copy at all.
+    if aligned and i8.get("input_prequantized"):
+        xp = x
     else:
-        n, c, h, w = x.shape
-        out_h, out_w, th, tw = _winograd_geometry(h, w, m, r, pad)
-        tt, p = t * t, n * th * tw
-        need_h, need_w = th * m + r - 1, tw * m + r - 1
-        aligned = pad == 0 and need_h == h and need_w == w
-
-        # Quantize straight into the zero-padded buffer: one pass, and the
-        # zero padding is its own quantization (code(0) = 0).  When the
-        # tiles already cover the input exactly, prequantized codes are
-        # tiled straight off the producer's register with no copy at all.
-        if aligned and i8.get("input_prequantized"):
-            xp = x
+        xp = take_scratch("xp", (n, c, need_h, need_w), np.float32, zero=not aligned)
+        interior = xp if aligned else xp[:, :, pad : pad + h, pad : pad + w]
+        if i8.get("input_prequantized"):
+            interior[...] = x  # producer already emitted codes on our grid
         else:
-            xp = take_scratch(
-                "xp", (n, c, need_h, need_w), np.float32, zero=not aligned
-            )
-            interior = xp if aligned else xp[:, :, pad : pad + h, pad : pad + w]
-            if i8.get("input_prequantized"):
-                interior[...] = x  # producer already emitted codes on our grid
-            else:
-                _quantize_codes(x, attrs["q_input"], out=interior)
+            _quantize_codes(x, attrs["q_input"], out=interior)
 
-        # Tile copy directly into (t², C·P) — the Kronecker GEMM then emits
-        # the Hadamard-ready layout, killing the float path's big transpose.
-        tiles = _strided_patches(xp, t, t, m, m)  # (n, c, th, tw, t, t) view
-        tmat = take_scratch("tmat", (tt, c * p), dt_v)
-        tmat.reshape(t, t, c, n, th, tw)[...] = np.transpose(tiles, (4, 5, 1, 0, 2, 3))
-        v = _int8_matmul(
-            i8["btk"], tmat, out=take_scratch("v", (tt, c * p), dt_v)
-        )  # (t², C·P), exact integers
-        if INT8_STRICT:
-            assert float(np.abs(v).max(initial=0.0)) <= i8["bounds"][0]
-        _requant_codes(v, i8["d_v"], attrs["q_input_t"], qmax=i8.get("qmax_v"))
-        v = _cast_scratch(v, dt_h, "v_h")
+    # Tile copy directly into (t², C·P) — the Kronecker GEMM then emits
+    # the Hadamard-ready layout, killing the float path's big transpose.
+    tiles = _strided_patches(xp, t, t, m, m)  # (n, c, th, tw, t, t) view
+    tmat = take_scratch("tmat", (tt, c * p), dt_v)
+    tmat.reshape(t, t, c, n, th, tw)[...] = np.transpose(tiles, (4, 5, 1, 0, 2, 3))
+    v = _int8_matmul(
+        i8["btk"], tmat, out=take_scratch("v", (tt, c * p), dt_v)
+    )  # (t², C·P), exact integers
+    if INT8_STRICT:
+        assert float(np.abs(v).max(initial=0.0)) <= i8["bounds"][0]
+    _requant_codes(v, i8["d_v"], attrs["q_input_t"])
+    v = _cast_scratch(v, dt_h, "v_h")
     had = _int8_matmul(
         i8["u2q"],
         v.reshape(t, t, g, c // g, p),
@@ -1014,7 +858,7 @@ def winograd_int8(inputs, attrs):
     )  # (t, t, g, K/g, P)
     if INT8_STRICT:
         assert float(np.abs(had).max(initial=0.0)) <= i8["bounds"][1]
-    _requant_codes(had, i8["d_h"], attrs["q_hadamard"], qmax=i8.get("qmax_h"))
+    _requant_codes(had, i8["d_h"], attrs["q_hadamard"])
     had = _cast_scratch(had, dt_z, "had_z")
     z = _int8_matmul(
         i8["atk"],
@@ -1025,9 +869,6 @@ def winograd_int8(inputs, attrs):
         assert float(np.abs(z).max(initial=0.0)) <= i8["bounds"][2]
     z = _requant_out(z, i8["rq_out"])
     out = _int8_epilogue(z.reshape(m * m, k, p), i8, (1, k, 1))
-    ro = attrs.get("resident_out")
-    if ro is not None:
-        return _emit_resident_int8(out, ro, n, k, th, tw, m, out_h, out_w)
     y = take_scratch("y", (n, k, th * m, tw * m), np.float32)
     y.reshape(n, k, th, m, tw, m)[...] = np.transpose(
         out.reshape(m, m, k, n, th, tw), (3, 2, 4, 0, 5, 1)
@@ -1035,83 +876,6 @@ def winograd_int8(inputs, attrs):
     if th * m != out_h or tw * m != out_w:
         y = y[:, :, :out_h, :out_w]
     return y
-
-
-def _emit_resident_int8(
-    codes: np.ndarray, ro: Dict, n: int, c: int,
-    pth: int, ptw: int, pm: int, h: int, w: int,
-) -> np.ndarray:
-    """Producer tail of an int8 resident edge.
-
-    ``codes`` is the producer's epilogue output, still in the (m², K, P)
-    GEMM layout — integer codes on the consumer's input grid (residency
-    requires the integer handoff, so the epilogue ran in ``int`` mode).
-    The spatial assembly lands in one transpose copy directly inside the
-    consumer's padded buffer (only the border needs zeroing — zero
-    padding needs no quantization, code(0) = 0, exactly like the
-    consumer's own prologue).  From there the consumer's tile
-    extraction, integer Kronecker transform and q_input_t requant run
-    against the *consumer's* compiled constants — including its per-tap
-    scale grid when enabled — and the code taps go into this step's
-    planned register.
-    """
-    i8c = ro["i8"]
-    m, r, t, pad = ro["m"], ro["r"], ro["t"], ro["pad"]
-    _, _, th, tw = _winograd_geometry(h, w, m, r, pad)
-    tt, p = t * t, n * th * tw
-    need_h, need_w = th * m + r - 1, tw * m + r - 1
-    dt_v = i8c["dts"][0]
-
-    xp = take_scratch("r_xp", (n, c, need_h, need_w), np.float32)
-    if pad or need_h != h or need_w != w:
-        xp[:, :, :pad] = 0.0
-        xp[:, :, pad + h :] = 0.0
-        xp[:, :, :, :pad] = 0.0
-        xp[:, :, :, pad + w :] = 0.0
-    interior = xp[:, :, pad : pad + h, pad : pad + w]
-    src6 = codes.reshape(pm, pm, c, n, pth, ptw)
-    if pth * pm == h and ptw * pm == w:
-        s = interior.strides
-        grid = np.lib.stride_tricks.as_strided(
-            interior,
-            (n, c, pth, pm, ptw, pm),
-            (s[0], s[1], s[2] * pm, s[2], s[3] * pm, s[3]),
-        )
-        grid[...] = np.transpose(src6, (3, 2, 4, 0, 5, 1))
-    else:
-        yout = take_scratch("y", (n, c, pth * pm, ptw * pm), np.float32)
-        yout.reshape(n, c, pth, pm, ptw, pm)[...] = np.transpose(
-            src6, (3, 2, 4, 0, 5, 1)
-        )
-        interior[...] = yout[:, :, :h, :w]
-    # Batch-major tile matrix, transform axes ahead of channels — the
-    # broadcast integer Kronecker GEMM (one sgemm per sample) then emits
-    # the tap register's own (N, t², C·th·tw) layout directly, so the
-    # producer pays no relayout copy at all.  Integer arithmetic is
-    # exact at any operand layout, so the oracle contract is unaffected.
-    tmat = take_scratch("r_tmat", (n, tt, c * th * tw), dt_v)
-    tmat.reshape(n, t, t, c, th, tw)[...] = np.transpose(
-        _strided_patches(xp, t, t, m, m), (0, 4, 5, 1, 2, 3)
-    )
-    out = take_out((n, t, t, c, th, tw), np.float32)
-    direct = out is not None and np.dtype(dt_v) == np.float32
-    gemm_out = (
-        out.reshape(n, tt, c * th * tw)
-        if direct
-        else take_scratch("r_v", (n, tt, c * th * tw), dt_v)
-    )
-    v = _int8_matmul(i8c["btk"], tmat, out=gemm_out)
-    if INT8_STRICT:
-        assert float(np.abs(v).max(initial=0.0)) <= i8c["bounds"][0]
-    # d_v / qmax_v are (t², 1): broadcasting aligns them with axis -2, the
-    # transform axis, in the batched layout exactly as in the flat one.
-    _requant_codes(v, i8c["d_v"], ro["q_input_t"], qmax=i8c.get("qmax_v"))
-    if not direct:
-        if out is None:
-            out = np.empty((n, t, t, c, th, tw), dtype=np.float32)
-        out.reshape(n, tt, c * th * tw)[...] = v  # lossless cast copy
-    _stash_resident_hw(ro, (h, w))
-    return out
 
 
 @register_kernel("conv2d", "int8")

@@ -120,6 +120,49 @@ class Step:
         return f"Step({self.op}{label}: r{self.inputs} -> r{self.output})"
 
 
+def _has_cold_observer(step: Step) -> bool:
+    """True if a fake-quant stage of ``step`` has not frozen its range
+    yet.  Such a stage takes its scale from the first array it sees,
+    so the step must see the *whole* batch, not a chunk — otherwise
+    the frozen scale (and every later result) would depend on
+    ``chunk_bytes``, breaking the reference backend's exactness."""
+    return any(
+        isinstance(v, dict) and "dynamic_bits" in v and "scale" not in v
+        for v in step.attrs.values()
+    )
+
+
+def _chunk_rows(
+    step: Step,
+    args: Tuple[np.ndarray, ...],
+    n: int,
+    nthreads: int,
+    chunk_bytes: int,
+    backend: str,
+) -> int:
+    """Batch rows per kernel call of ``step`` (``n``: run it whole).
+
+    The cache policy takes the largest sub-batch whose working set fits
+    ``chunk_bytes``; the thread scheduler then caps the chunk so every
+    lane gets work.  Both executor loops call this, so the traced run
+    walks exactly the untraced schedule."""
+    if (
+        n <= 1
+        or step.op not in _CHUNKABLE_OPS
+        or (backend == "reference" and step.op not in _SPLIT_SAFE_OPS)
+        or any(a.shape[0] != n for a in args)
+        or _has_cold_observer(step)
+    ):
+        return n
+    in_bytes = sum(a.nbytes for a in args)
+    chunk = n
+    if chunk_bytes and in_bytes > chunk_bytes:
+        chunk = max(1, n * chunk_bytes // in_bytes)
+    if nthreads > 1 and in_bytes >= MIN_PARALLEL_BYTES:
+        chunk = min(chunk, -(-n // nthreads))
+    return chunk
+
+
 class CompiledPlan:
     """A flat, autograd-free inference program.
 
@@ -199,18 +242,6 @@ class CompiledPlan:
         return self
 
     # -- execution ------------------------------------------------------------
-    @staticmethod
-    def _has_cold_observer(step: Step) -> bool:
-        """True if a fake-quant stage of ``step`` has not frozen its range
-        yet.  Such a stage takes its scale from the first array it sees,
-        so the step must see the *whole* batch, not a chunk — otherwise
-        the frozen scale (and every later result) would depend on
-        ``chunk_bytes``, breaking the reference backend's exactness."""
-        return any(
-            isinstance(v, dict) and "dynamic_bits" in v and "scale" not in v
-            for v in step.attrs.values()
-        )
-
     @staticmethod
     def _materialize(part: np.ndarray, arena) -> np.ndarray:
         """A chunk result that must outlive its lane's scratch buffers."""
@@ -327,7 +358,7 @@ class CompiledPlan:
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         n = x.shape[0]
         nthreads = resolve_threads(self.threads if threads is None else threads)
-        chunk_bytes = self.chunk_bytes
+        chunk_bytes, backend = self.chunk_bytes, self.backend
         pool = self._memory(x.shape[1:])
         arena = pool.checkout() if pool is not None else None
         try:
@@ -337,35 +368,7 @@ class CompiledPlan:
             regs[self.input_reg] = x
             for step_index, step in enumerate(self.steps):
                 args = tuple(regs[i] for i in step.inputs)
-                chunk = n
-                if (
-                    n > 1
-                    and step.op in _CHUNKABLE_OPS
-                    and all(a.shape[0] == n for a in args)
-                    and not self._has_cold_observer(step)
-                    and "resident_out" not in step.attrs
-                    and "resident_src" not in step.attrs
-                ):
-                    in_bytes = sum(a.nbytes for a in args)
-                    if (
-                        chunk_bytes
-                        and in_bytes > chunk_bytes
-                        and (
-                            self.backend != "reference"
-                            or step.op in _SPLIT_SAFE_OPS
-                        )
-                    ):
-                        # Largest sub-batch whose working set fits the budget.
-                        chunk = max(1, n * chunk_bytes // in_bytes)
-                    if (
-                        nthreads > 1
-                        and in_bytes >= MIN_PARALLEL_BYTES
-                        and (
-                            self.backend != "reference"
-                            or step.op in _SPLIT_SAFE_OPS
-                        )
-                    ):
-                        chunk = min(chunk, -(-n // nthreads))
+                chunk = _chunk_rows(step, args, n, nthreads, chunk_bytes, backend)
                 out_view = arena.reg_view(step.output) if arena is not None else None
                 if chunk < n:
                     regs[step.output] = self._run_split(
@@ -405,7 +408,7 @@ class CompiledPlan:
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         n = x.shape[0]
         nthreads = resolve_threads(self.threads if threads is None else threads)
-        chunk_bytes = self.chunk_bytes
+        chunk_bytes, backend = self.chunk_bytes, self.backend
         pool = self._memory(x.shape[1:])
         arena = pool.checkout() if pool is not None else None
         root_id = obs_trace.new_span_id()
@@ -417,34 +420,7 @@ class CompiledPlan:
             regs[self.input_reg] = x
             for step_index, step in enumerate(self.steps):
                 args = tuple(regs[i] for i in step.inputs)
-                chunk = n
-                if (
-                    n > 1
-                    and step.op in _CHUNKABLE_OPS
-                    and all(a.shape[0] == n for a in args)
-                    and not self._has_cold_observer(step)
-                    and "resident_out" not in step.attrs
-                    and "resident_src" not in step.attrs
-                ):
-                    in_bytes = sum(a.nbytes for a in args)
-                    if (
-                        chunk_bytes
-                        and in_bytes > chunk_bytes
-                        and (
-                            self.backend != "reference"
-                            or step.op in _SPLIT_SAFE_OPS
-                        )
-                    ):
-                        chunk = max(1, n * chunk_bytes // in_bytes)
-                    if (
-                        nthreads > 1
-                        and in_bytes >= MIN_PARALLEL_BYTES
-                        and (
-                            self.backend != "reference"
-                            or step.op in _SPLIT_SAFE_OPS
-                        )
-                    ):
-                        chunk = min(chunk, -(-n // nthreads))
+                chunk = _chunk_rows(step, args, n, nthreads, chunk_bytes, backend)
                 out_view = arena.reg_view(step.output) if arena is not None else None
                 step_span_id = obs_trace.new_span_id()
                 t_step = obs_trace.now_ns()
@@ -589,32 +565,8 @@ class CompiledPlan:
         }
 
     def residency_report(self) -> List[Dict[str, Any]]:
-        """Transform-domain residency edges wired by the compile pass.
-
-        One entry per producer→consumer pair that exchanges a ``(t,t)``
-        tap tensor instead of a spatial register round trip."""
-        edges = []
-        by_ro = {}
-        for i, step in enumerate(self.steps):
-            ro = step.attrs.get("resident_out")
-            if ro is not None:
-                by_ro[id(ro)] = (i, step)
-        for j, step in enumerate(self.steps):
-            rin = step.attrs.get("resident_src")
-            if rin is None or id(rin) not in by_ro:
-                continue
-            i, producer = by_ro[id(rin)]
-            edges.append(
-                {
-                    "producer": i,
-                    "consumer": j,
-                    "producer_label": producer.label,
-                    "consumer_label": step.label,
-                    "tile": f"F({rin['m']},{rin['r']})",
-                    "per_tap": bool(rin.get("per_tap")),
-                }
-            )
-        return edges
+        """Always empty: no step keeps its output in the transform domain."""
+        return []
 
     def memory_report(self, batch: Optional[int] = None) -> Dict[str, Any]:
         """The memory planner's static layout plus runtime arena counters.
@@ -674,12 +626,6 @@ class CompiledPlan:
             label = f" [{step.label}]" if step.label else ""
             ins = ",".join(f"r{r}" for r in step.inputs)
             lines.append(f"  {i:3d}: {step.op}{tag}{label} ({ins}) -> r{step.output}")
-        for edge in self.residency_report():
-            tap = " per-tap int8" if edge["per_tap"] else ""
-            lines.append(
-                f"  residency: step {edge['producer']} -> {edge['consumer']} "
-                f"stays in the {edge['tile']} transform domain{tap}"
-            )
         with self._mem_lock:
             pools = [p for p in self._mem_pools.values() if p is not None]
         for pool in pools:

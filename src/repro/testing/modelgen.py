@@ -113,11 +113,12 @@ def generate_model(seed: int) -> GeneratedModel:
     layer_index = 0
 
     # Every fifth seed gets a *chained* stride-1 Winograd stem — two
-    # back-to-back Winograd convs on a non-square input — the exact
-    # shape the compiler's transform-domain residency pass fuses.  The
-    # chained flag derives from the seed (not an rng draw) so the other
-    # seeds' models are untouched; pad of the second conv alternates so
-    # the corpus covers both the aligned (pad=0) and padded tap paths.
+    # back-to-back Winograd convs on a non-square input, so one Winograd
+    # step reads another's spatial output (on int8, as an integer-code
+    # handoff).  The chained flag derives from the seed (not an rng draw)
+    # so the other seeds' models are untouched; pad of the second conv
+    # alternates so the corpus covers both the aligned (pad=0) prologue
+    # that skips the pad copy and the padded one.
     chained = seed % 5 == 3
 
     # -- stem: one conv straight off the input ------------------------------

@@ -62,16 +62,10 @@ def int64_gemm():
         kernels._int8_matmul = original
 
 
-def int8_oracle_output(model, x: np.ndarray, residency: bool = True) -> np.ndarray:
-    """Compile and run ``model``'s int8 plan under the int64-GEMM oracle.
-
-    ``residency`` must match the plan under test: the transform-domain
-    residency pass switches eligible pairs to per-tap scale grids, which
-    changes the (frozen, exact) quantization grids themselves — so the
-    oracle has to integerise the same plan it is checking.
-    """
+def int8_oracle_output(model, x: np.ndarray) -> np.ndarray:
+    """Compile and run ``model``'s int8 plan under the int64-GEMM oracle."""
     with int64_gemm():
-        return compile_model(model, backend="int8", residency=residency).run(x)
+        return compile_model(model, backend="int8").run(x)
 
 
 def winograd_stem_flip_report(plan, x: np.ndarray) -> Optional[dict]:
@@ -103,12 +97,6 @@ def winograd_stem_flip_report(plan, x: np.ndarray) -> Optional[dict]:
         return None
     attrs = step.attrs
     i8 = attrs.get("i8") or {}
-    if "resident_out" in attrs or "resident_src" in attrs or i8.get("per_tap"):
-        # Resident stems requantize on per-tap scale grids (and a
-        # resident consumer never materialises its spatial input), so
-        # the scalar-multiplier recomputation below does not apply; the
-        # model-level int64-oracle identity covers these plans.
-        return None
     q_in, q_v = attrs.get("q_input"), attrs.get("q_input_t")
     if not q_in or not q_v or "scale" not in q_in or "scale" not in q_v:
         return None

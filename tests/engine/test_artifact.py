@@ -198,14 +198,19 @@ class TestRejection:
         with pytest.raises(ArtifactCorruptError):
             load_plan(path, verify=True)
 
-    def test_wrong_format_version(self, tmp_path, fp32_case):
+    # Fail closed both ways: a newer writer, and an older one (v2 files
+    # may carry transform-domain residency attributes this reader lacks).
+    @pytest.mark.parametrize(
+        "version", [FORMAT_VERSION + 1, FORMAT_VERSION - 1], ids=["newer", "older"]
+    )
+    def test_wrong_format_version(self, tmp_path, fp32_case, version):
         gm, plan = fp32_case
         x = gm.sample_input()
         path, _ = _saved(tmp_path, plan, x)
         with open(path, "r+b") as fh:
             fh.seek(len(MAGIC))  # the u32 version field follows the magic
-            fh.write(struct.pack("<I", FORMAT_VERSION + 1))
-        with pytest.raises(ArtifactVersionError, match=str(FORMAT_VERSION + 1)):
+            fh.write(struct.pack("<I", version))
+        with pytest.raises(ArtifactVersionError, match=str(version)):
             load_plan(path)
 
     def test_wrong_magic(self, tmp_path, fp32_case):

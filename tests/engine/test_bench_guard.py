@@ -87,49 +87,3 @@ def test_pre_executor_baseline_without_threads_keys_still_compares():
 def test_steady_state_allocations_fail_unconditionally():
     failures = guard.check(_report(), _report(ssa=3), 0.25)
     assert any("memory planner regressed" in f for f in failures)
-
-
-def _residency_entry(speedup=1.05, edges=5, ssa=0):
-    return {
-        "workload": "winograd-chain6-F4@fast",
-        "residency_edges": edges,
-        "ms_resident": 8.0,
-        "ms_roundtrip": 8.0 * speedup,
-        "speedup": speedup,
-        "steady_state_allocations": ssa,
-    }
-
-
-def test_winograd_residency_ok_passes():
-    baseline, fresh = _report(), _report()
-    baseline["winograd_residency"] = _residency_entry()
-    fresh["winograd_residency"] = _residency_entry()
-    assert guard.check(baseline, fresh, 0.25) == []
-
-
-def test_winograd_residency_speedup_must_exceed_one():
-    fresh = _report()
-    fresh["winograd_residency"] = _residency_entry(speedup=0.98)
-    failures = guard.check(_report(), fresh, 0.25)
-    assert any("strictly > 1.0x" in f for f in failures)
-
-
-def test_winograd_residency_zero_edges_is_a_compiler_regression():
-    fresh = _report()
-    fresh["winograd_residency"] = _residency_entry(edges=0)
-    failures = guard.check(_report(), fresh, 0.25)
-    assert any("zero edges" in f for f in failures)
-
-
-def test_winograd_residency_allocations_fail_unconditionally():
-    fresh = _report()
-    fresh["winograd_residency"] = _residency_entry(ssa=2)
-    failures = guard.check(_report(), fresh, 0.25)
-    assert any("zero-allocation contract" in f for f in failures)
-
-
-def test_winograd_residency_entry_disappearing_fails():
-    baseline = _report()
-    baseline["winograd_residency"] = _residency_entry()
-    failures = guard.check(baseline, _report(), 0.25)
-    assert any("winograd_residency entry disappeared" in f for f in failures)
