@@ -42,7 +42,7 @@ from repro.engine.cache import PlanCache, get_cached_plan, plan_cache
 from repro.engine.compile import CompileError, compile_model
 from repro.engine.memplan import MemoryLayout, plan_layout
 from repro.engine.plan import CompiledPlan, Step
-from repro.engine.pool import configure_threads, default_threads, resolve_threads
+from repro.engine.pool import default_threads, resolve_threads
 from repro.engine.registry import BACKENDS, KernelRegistry, register_kernel, registry
 from repro.engine.timing import measure_callable_ms, measure_plan_ms
 
@@ -58,7 +58,6 @@ __all__ = [
     "PlanCache",
     "Step",
     "compile_model",
-    "configure_threads",
     "default_threads",
     "get_cached_plan",
     "measure_callable_ms",

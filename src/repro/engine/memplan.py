@@ -30,10 +30,10 @@ worker pool) never touch the same buffers.
 
 Thread-safety contract of the scratch space: keys are ``(step, tag,
 lane)``.  Serial execution uses lane 0; the parallel scheduler gives
-each worker lane its own key set and processes its chunks sequentially,
-so a scratch buffer is never written by two threads at once and a chunk
+each worker lane its own key set and exactly one batch chunk, so a
+scratch buffer is never written by two threads at once, and a chunk
 result that *views* scratch is copied into the output register before
-the lane moves on.
+the step ends.
 """
 
 from __future__ import annotations

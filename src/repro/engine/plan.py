@@ -12,10 +12,12 @@ Two executor-level upgrades ride on that IR (see
 * a **memory plan** — registers are assigned liveness-disjoint arena
   slots at compile time and kernels route their temporaries through a
   per-run arena, so steady-state inference allocates nothing;
-* a **step scheduler** — row-independent steps are split into batch
-  chunks (which for Winograd steps are exactly blocks of input tiles)
-  and fanned out across a shared worker pool, each lane writing its
-  chunk straight into the planned output buffer.
+* a **step scheduler** — under ``threads > 1``, a row-independent step
+  is split into one contiguous batch chunk per worker lane (for
+  Winograd steps, exactly a block of input tiles), each lane writing
+  its chunk straight into the planned output buffer.  It is the only
+  thing that ever splits a step, and it never splits on the
+  ``reference`` backend.
 """
 
 from __future__ import annotations
@@ -49,54 +51,10 @@ _CHUNKABLE_OPS = frozenset(
     }
 )
 
-#: Working-set budget per step execution (~the L2 slice of one core).
-#: A step whose inputs for the whole batch exceed this is executed in
-#: batch chunks: large early-layer activations stay cache-resident while
-#: small deep-layer steps keep the full batch (their GEMMs amortise
-#: per-call overhead with batch).  Override via CompiledPlan.chunk_bytes
-#: (0 disables chunking).
-DEFAULT_CHUNK_BYTES = 1 << 19
-
 #: Steps whose whole-batch inputs are smaller than this are not worth
 #: fanning out across threads: the per-task dispatch would cost more
-#: than the kernel.  (Chunking for cache residency has its own, larger
-#: threshold above.)
+#: than the kernel.
 MIN_PARALLEL_BYTES = 1 << 14
-
-#: Ops whose *per-sample results cannot depend on the batch split at the
-#: bit level*: elementwise, windowed, and shape ops whose reductions stay
-#: entirely within one sample.  On the ``reference`` backend (the
-#: bit-exactness oracle) the thread scheduler may shrink chunks only for
-#: these — the big fused GEMMs (conv2d/winograd/linear) keep whatever
-#: decomposition the thread-count-independent cache policy chose, because
-#: BLAS may round a different M differently at the last ulp.  The
-#: ``fast``/``turbo`` backends carry a float-tolerance contract (and the
-#: ``int8`` integer GEMMs are exact at any blocking), so there every
-#: chunkable op may be thread-split.
-_SPLIT_SAFE_OPS = frozenset(
-    {
-        "add",
-        "affine",
-        "avg_pool",
-        "concat",
-        "flatten",
-        "global_avg_pool",
-        "max_pool",
-        "relu",
-    }
-)
-
-#: On the ``reference`` backend the cache policy may batch-chunk only the
-#: split-safe ops above.  Every GEMM-bearing step depends on the batch
-#: extent at the bit level — ``conv2d``/``linear`` lower to one GEMM
-#: whose M dimension is ``n·oh·ow``/``n``, and the Winograd Hadamard
-#: stage contracts against a ``P = n·th·tw`` column dimension — and BLAS
-#: may round a different M/N blocking differently at the last ulp
-#: (caught by the differential fuzz corpus on random models: seeds with
-#: im2row stems and F(6, r) layers at small spatial sizes flip single
-#: ulps under splitting).  The oracle backend therefore executes GEMM
-#: steps unsplit, so "chunked ≡ serial bitwise" holds by construction,
-#: not empirically.
 
 
 @dataclass
@@ -124,8 +82,8 @@ def _has_cold_observer(step: Step) -> bool:
     """True if a fake-quant stage of ``step`` has not frozen its range
     yet.  Such a stage takes its scale from the first array it sees,
     so the step must see the *whole* batch, not a chunk — otherwise
-    the frozen scale (and every later result) would depend on
-    ``chunk_bytes``, breaking the reference backend's exactness."""
+    the frozen scale (and every later result) would depend on the
+    thread count."""
     return any(
         isinstance(v, dict) and "dynamic_bits" in v and "scale" not in v
         for v in step.attrs.values()
@@ -133,47 +91,38 @@ def _has_cold_observer(step: Step) -> bool:
 
 
 def _chunk_rows(
-    step: Step,
-    args: Tuple[np.ndarray, ...],
-    n: int,
-    nthreads: int,
-    chunk_bytes: int,
-    backend: str,
+    step: Step, args: Tuple[np.ndarray, ...], n: int, nthreads: int
 ) -> int:
-    """Batch rows per kernel call of ``step`` (``n``: run it whole).
+    """Batch rows per lane for ``step`` (``n``: run it whole).
 
-    The cache policy takes the largest sub-batch whose working set fits
-    ``chunk_bytes``; the thread scheduler then caps the chunk so every
-    lane gets work.  Both executor loops call this, so the traced run
-    walks exactly the untraced schedule."""
+    A step is split only when there is more than one lane and its
+    inputs are big enough to pay for the dispatch; it then gets one
+    contiguous chunk of ``ceil(n / nthreads)`` rows per lane.  Both
+    executor loops call this, so the traced run walks exactly the
+    untraced schedule."""
     if (
-        n <= 1
+        nthreads <= 1
+        or n <= 1
         or step.op not in _CHUNKABLE_OPS
-        or (backend == "reference" and step.op not in _SPLIT_SAFE_OPS)
         or any(a.shape[0] != n for a in args)
         or _has_cold_observer(step)
+        or sum(a.nbytes for a in args) < MIN_PARALLEL_BYTES
     ):
         return n
-    in_bytes = sum(a.nbytes for a in args)
-    chunk = n
-    if chunk_bytes and in_bytes > chunk_bytes:
-        chunk = max(1, n * chunk_bytes // in_bytes)
-    if nthreads > 1 and in_bytes >= MIN_PARALLEL_BYTES:
-        chunk = min(chunk, -(-n // nthreads))
-    return chunk
+    return -(-n // nthreads)
 
 
 class CompiledPlan:
     """A flat, autograd-free inference program.
 
     Built by :func:`repro.engine.compile.compile_model`; run with
-    :meth:`run` (single NCHW batch) or :meth:`run_many` (list of equal
-    shape inputs, stacked into one batch so per-plan overheads and the
-    Winograd input-tile transforms are shared across the whole batch).
+    :meth:`run` on one NCHW batch.
 
-    ``threads`` (per-call argument > this attribute > ``REPRO_THREADS``
-    > 1) controls the step scheduler; ``planning`` (default on) controls
-    the arena executor.  Both default to the exact serial semantics.
+    The per-call ``threads`` argument (> ``REPRO_THREADS`` > 1) controls
+    the step scheduler; the ``reference`` backend, the bit-exactness
+    oracle, always runs on one lane, because BLAS may round a GEMM over
+    a sub-batch differently at the last ulp.  ``planning`` (default on)
+    controls the arena executor.
     """
 
     def __init__(
@@ -193,8 +142,6 @@ class CompiledPlan:
         self.backend = backend
         self.signature = signature
         self.source = source  # class name of the compiled module
-        self.chunk_bytes = DEFAULT_CHUNK_BYTES
-        self.threads: Optional[int] = None  # None -> REPRO_THREADS default
         # The reference backend is the fidelity oracle: it keeps the
         # original allocate-per-step execution (its kernels ignore the
         # arena anyway, so planning would only burn memory).
@@ -255,65 +202,64 @@ class CompiledPlan:
         args: Tuple[np.ndarray, ...],
         n: int,
         chunk: int,
-        threads: int,
         arena,
         step_index: int,
         out_view: Optional[np.ndarray],
         tracer: Optional["obs_trace.TraceBuffer"] = None,
         parent_id: Optional[str] = None,
     ) -> np.ndarray:
-        """Execute one row-independent step in batch chunks of ``chunk``,
-        fanned out over up to ``threads`` worker lanes.
+        """Execute one row-independent step as contiguous batch chunks of
+        ``chunk`` rows, one chunk per worker lane.
 
         Every chunkable kernel computes each batch row independently
-        (GEMM rows, elementwise ops), so chunking preserves per-sample
-        results — bit-exactly for the reference kernels, and to float
-        tolerance for the fast backend's fused GEMMs (BLAS may block a
-        different M differently at the last ulp).  The same property
-        makes serving-time dynamic micro-batching — and the thread
-        scheduler riding the same split — transparent.  For Winograd
+        (GEMM rows, elementwise ops), so splitting preserves per-sample
+        results — exactly for native int8 steps, and to float tolerance
+        for the fast backend's fused GEMMs (BLAS may block a different M
+        differently at the last ulp).  The same property makes
+        serving-time dynamic micro-batching transparent.  For Winograd
         steps a batch chunk is exactly a block of input tiles, so the
         lanes partition the tile GEMMs.
         """
         bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        lanes = min(threads, len(bounds)) if threads > 1 else 1
         parts: List[Optional[np.ndarray]] = [None] * len(bounds)
         span_name = step.label or step.op
 
         def work(lane: int) -> None:
-            for index in range(lane, len(bounds), lanes):
-                lo, hi = bounds[index]
-                sub = tuple(a[lo:hi] for a in args)
-                out = out_view[lo:hi] if out_view is not None else None
-                t0 = obs_trace.now_ns() if tracer is not None else 0
-                prev = memplan.bind_step(arena, step_index, lane, out)
-                try:
-                    part = step.fn(sub, step.attrs)
-                finally:
-                    memplan.unbind_step(prev)
-                if tracer is not None:
-                    tracer.record(
-                        f"{span_name}[{lo}:{hi}]",
-                        "kernel",
-                        t0,
-                        attrs={
-                            "step": step_index,
-                            "op": step.op,
-                            "chunk_index": index,
-                            "rows": [lo, hi],
-                        },
-                        parent_id=parent_id,
-                        lane=lane,
-                    )
-                if out is not None and part is not out:
-                    if out.shape == part.shape:
-                        out[...] = part
-                    else:  # planned shape diverged: fall back to collect
-                        parts[index] = self._materialize(part, arena)
-                elif out is None:
-                    parts[index] = self._materialize(part, arena)
+            lo, hi = bounds[lane]
+            sub = tuple(a[lo:hi] for a in args)
+            out = out_view[lo:hi] if out_view is not None else None
+            t0 = obs_trace.now_ns() if tracer is not None else 0
+            prev = memplan.bind_step(arena, step_index, lane, out)
+            try:
+                part = step.fn(sub, step.attrs)
+            finally:
+                memplan.unbind_step(prev)
+            if tracer is not None:
+                tracer.record(
+                    f"{span_name}[{lo}:{hi}]",
+                    "kernel",
+                    t0,
+                    attrs={
+                        "step": step_index,
+                        "op": step.op,
+                        "chunk_index": lane,
+                        "rows": [lo, hi],
+                    },
+                    parent_id=parent_id,
+                    lane=lane,
+                )
+            if out is not None and part is not out:
+                if out.shape == part.shape:
+                    out[...] = part
+                else:  # planned shape diverged: fall back to collect
+                    parts[lane] = self._materialize(part, arena)
+            elif out is None:
+                parts[lane] = self._materialize(part, arena)
 
-        run_tasks([(lambda lane=lane: work(lane)) for lane in range(lanes)], lanes)
+        run_tasks(
+            [(lambda lane=lane: work(lane)) for lane in range(len(bounds))],
+            len(bounds),
+        )
         if out_view is not None:
             if all(p is None for p in parts):
                 return out_view
@@ -336,8 +282,10 @@ class CompiledPlan:
     ) -> np.ndarray:
         """Execute the plan on one input batch (NCHW ``np.ndarray``).
 
-        ``threads`` overrides the plan/`REPRO_THREADS` default for this
-        call; 0 means "all cores".  ``trace`` records one span per step
+        ``threads`` overrides the ``REPRO_THREADS`` default for this call;
+        0 means "all cores".  The ``reference`` backend ignores it and
+        runs every step whole, so threaded ≡ serial there by
+        construction.  ``trace`` records one span per step
         into the given :class:`repro.obs.TraceBuffer` (``None`` falls
         back to the ambient ``REPRO_TRACE`` tracer; tracing never changes
         results — the instrumented path executes the identical step
@@ -357,8 +305,7 @@ class CompiledPlan:
         tracing-disabled overhead ≤ 1%)."""
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         n = x.shape[0]
-        nthreads = resolve_threads(self.threads if threads is None else threads)
-        chunk_bytes, backend = self.chunk_bytes, self.backend
+        nthreads = 1 if self.backend == "reference" else resolve_threads(threads)
         pool = self._memory(x.shape[1:])
         arena = pool.checkout() if pool is not None else None
         try:
@@ -368,11 +315,11 @@ class CompiledPlan:
             regs[self.input_reg] = x
             for step_index, step in enumerate(self.steps):
                 args = tuple(regs[i] for i in step.inputs)
-                chunk = _chunk_rows(step, args, n, nthreads, chunk_bytes, backend)
+                chunk = _chunk_rows(step, args, n, nthreads)
                 out_view = arena.reg_view(step.output) if arena is not None else None
                 if chunk < n:
                     regs[step.output] = self._run_split(
-                        step, args, n, chunk, nthreads, arena, step_index, out_view
+                        step, args, n, chunk, arena, step_index, out_view
                     )
                 else:
                     prev = memplan.bind_step(arena, step_index, 0, out_view)
@@ -407,8 +354,7 @@ class CompiledPlan:
         so the untraced path carries zero per-step branches."""
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         n = x.shape[0]
-        nthreads = resolve_threads(self.threads if threads is None else threads)
-        chunk_bytes, backend = self.chunk_bytes, self.backend
+        nthreads = 1 if self.backend == "reference" else resolve_threads(threads)
         pool = self._memory(x.shape[1:])
         arena = pool.checkout() if pool is not None else None
         root_id = obs_trace.new_span_id()
@@ -420,7 +366,7 @@ class CompiledPlan:
             regs[self.input_reg] = x
             for step_index, step in enumerate(self.steps):
                 args = tuple(regs[i] for i in step.inputs)
-                chunk = _chunk_rows(step, args, n, nthreads, chunk_bytes, backend)
+                chunk = _chunk_rows(step, args, n, nthreads)
                 out_view = arena.reg_view(step.output) if arena is not None else None
                 step_span_id = obs_trace.new_span_id()
                 t_step = obs_trace.now_ns()
@@ -430,7 +376,6 @@ class CompiledPlan:
                         args,
                         n,
                         chunk,
-                        nthreads,
                         arena,
                         step_index,
                         out_view,
@@ -465,9 +410,7 @@ class CompiledPlan:
                         "batch": n,
                         "chunk": chunk,
                         "chunks": n_chunks,
-                        "lanes": (
-                            min(nthreads, n_chunks) if nthreads > 1 else 1
-                        ),
+                        "lanes": n_chunks,
                         "out_bytes": int(result.nbytes),
                         "slot_bytes": (
                             int(out_view.nbytes) if out_view is not None else None
@@ -500,44 +443,6 @@ class CompiledPlan:
             )
             if arena is not None:
                 pool.checkin(arena)
-
-    def run_many(
-        self,
-        inputs: Sequence[np.ndarray],
-        threads: Optional[int] = None,
-        stack: bool = True,
-    ) -> List[np.ndarray]:
-        """Run several same-shape inputs, as one fused batch or concurrently.
-
-        ``stack=True`` (default) stacks along the batch axis and executes
-        once, so the filter transforms, plan dispatch, and tile
-        transforms are amortised over the whole group — the step
-        scheduler then fans the fused batch out across cores.
-        ``stack=False`` instead executes each input as its own ``run``
-        on the worker pool (each with its own arena checkout): the shape
-        concurrent server traffic takes.
-        """
-        if not inputs:
-            return []
-        arrays = [np.asarray(a, dtype=np.float32) for a in inputs]
-        if any(a.shape != arrays[0].shape for a in arrays):
-            raise ValueError("run_many requires equal input shapes")
-        if not stack:
-            nthreads = resolve_threads(self.threads if threads is None else threads)
-            results: List[Optional[np.ndarray]] = [None] * len(arrays)
-
-            def one(index: int) -> None:
-                results[index] = self.run(arrays[index], threads=1)
-
-            run_tasks(
-                [(lambda i=i: one(i)) for i in range(len(arrays))],
-                min(nthreads, len(arrays)),
-            )
-            return list(results)  # type: ignore[return-value]
-        sizes = [a.shape[0] for a in arrays]
-        out = self.run(np.concatenate(arrays, axis=0), threads=threads)
-        splits = np.cumsum(sizes)[:-1]
-        return [np.ascontiguousarray(part) for part in np.split(out, splits, axis=0)]
 
     def __call__(self, x) -> np.ndarray:
         data = x.data if hasattr(x, "data") else x

@@ -8,16 +8,14 @@ arena buffers can be shared by reference).
 
 Thread-count resolution, everywhere in the engine:
 
-* an explicit ``threads=`` argument wins;
-* else the per-plan ``CompiledPlan.threads`` attribute;
+* an explicit per-call ``threads=`` argument wins;
 * else the ``REPRO_THREADS`` environment variable (``0`` or ``auto``
   mean "all cores");
-* else ``1`` — serial, the exact pre-scheduler behaviour.
+* else ``1`` — serial.
 
 ``run_tasks`` refuses to nest: a task that itself calls ``run_tasks``
-(e.g. ``run_many(..., stack=False)`` whose per-input runs would also
-like to split their steps) executes its sub-tasks inline, so the pool
-can never deadlock on its own capacity.
+(e.g. a plan run issued from inside a pool task) executes its
+sub-tasks inline, so the pool can never deadlock on its own capacity.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ THREADS_ENV_VAR = "REPRO_THREADS"
 _lock = threading.Lock()
 _executor: Optional[ThreadPoolExecutor] = None
 _executor_size = 0
-_default_threads: Optional[int] = None
 _tls = threading.local()
 
 
@@ -63,9 +60,7 @@ def cpu_count() -> int:
 
 
 def default_threads() -> int:
-    """The process default: ``configure_threads`` > ``REPRO_THREADS`` > 1."""
-    if _default_threads is not None:
-        return _default_threads
+    """The process default: ``REPRO_THREADS``, else 1."""
     raw = os.environ.get(THREADS_ENV_VAR, "").strip().lower()
     if not raw:
         return 1
@@ -76,16 +71,6 @@ def default_threads() -> int:
     except ValueError:
         return 1
     return cpu_count() if value == 0 else max(1, value)
-
-
-def configure_threads(threads: Optional[int]) -> None:
-    """Set (or with ``None`` clear) the process-wide default thread count,
-    overriding ``REPRO_THREADS`` for every subsequent plan execution."""
-    global _default_threads
-    if threads is None:
-        _default_threads = None
-    else:
-        _default_threads = cpu_count() if int(threads) == 0 else max(1, int(threads))
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:

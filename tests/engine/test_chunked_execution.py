@@ -1,14 +1,12 @@
-"""Cache-aware batch chunking must be invisible in the results.
+"""Splitting a step into batch chunks must be invisible in the results.
 
-Every chunkable op computes batch rows independently, so executing a
-step in sub-batches (the executor does this when a step's working set
-exceeds ``chunk_bytes``) preserves per-sample results.  On the
-``reference`` backend that independence is *bit-exact* — its kernels
-apply fixed-size per-tile matmuls whose BLAS dispatch cannot depend on
-the batch — which is the backend the serving bit-identity guarantee is
-stated for.  The ``fast`` backend's large fused GEMMs are row-
-independent only up to BLAS blocking (different M can round differently
-at the last ulp), so there the contract is float tolerance.
+Every chunkable op computes batch rows independently, so the thread
+scheduler executing a step in sub-batches preserves per-sample results.
+The ``fast`` backend's large fused GEMMs are row-independent only up to
+BLAS blocking (different M can round differently at the last ulp), so
+there the contract is float tolerance; the ``reference`` backend never
+splits a step, and on it batch composition is *bit-exact* — the backend
+the serving bit-identity guarantee is stated for.
 """
 
 import numpy as np
@@ -17,55 +15,26 @@ from repro.engine import compile_model
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.models.resnet import resnet18
-from repro.quant.qconfig import fp32, int8
-
-
-def test_chunked_equals_unchunked_reference_bitwise(rng):
-    model = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8()))
-    model.eval()
-    plan = compile_model(model, backend="reference")
-    x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
-    plan.run(x[:1])  # freeze any cold activation observers first
-
-    plan.chunk_bytes = 0  # chunking off
-    unchunked = plan.run(x)
-    plan.chunk_bytes = 1 << 12  # absurdly small: chunk almost every step
-    chunked = plan.run(x)
-    np.testing.assert_array_equal(chunked, unchunked)
-
-
-def test_chunked_equals_unchunked_fast_float(rng):
-    model = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", fp32()))
-    model.eval()
-    plan = compile_model(model, backend="fast")
-    x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
-    plan.run(x[:1])
-
-    plan.chunk_bytes = 0
-    unchunked = plan.run(x)
-    plan.chunk_bytes = 1 << 12
-    chunked = plan.run(x)
-    np.testing.assert_allclose(chunked, unchunked, rtol=1e-4, atol=1e-4)
+from repro.quant.qconfig import int8
 
 
 def test_cold_observer_step_is_never_chunked(rng):
     """A fake-quant stage that has not frozen its range takes it from the
-    first array it sees — chunking that step would freeze a sub-batch's
-    range and make results (and the reference backend's exactness vs
-    eager) depend on chunk_bytes.  The first large-batch run of an
-    uncalibrated plan must therefore match the unchunked execution."""
+    first array it sees — splitting that step would freeze a sub-batch's
+    range and make every later result depend on the thread count.  The
+    first large-batch run of an uncalibrated plan must therefore match
+    the serial execution."""
     from repro.nn import init
 
     x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
     outs = []
-    for chunk_bytes in (0, 1 << 12):
+    for threads in (1, 4):
         init.set_default_rng(0)  # identical weights for both plans
         model = resnet18(width_multiplier=0.25, spec=ConvSpec("F4", int8()))
         model.eval()
-        plan = compile_model(model, backend="reference")
-        plan.chunk_bytes = chunk_bytes
-        outs.append(plan.run(x))  # first run: observers are still cold
-    np.testing.assert_array_equal(outs[0], outs[1])
+        plan = compile_model(model, backend="fast")
+        outs.append(plan.run(x, threads=threads))  # observers are still cold
+    np.testing.assert_allclose(outs[1], outs[0], rtol=1e-4, atol=1e-4)
 
 
 def test_batch_composition_is_invisible_reference(rng):

@@ -139,30 +139,6 @@ class TestColdObserverSemantics:
 
 
 class TestExecutorBatching:
-    def test_run_many_matches_per_input_runs(self, rng):
-        model = lenet(spec=ConvSpec("F2"))
-        model.eval()
-        plan = compile_model(model, backend="fast")
-        inputs = [
-            rng.standard_normal((3, 1, 28, 28)).astype(np.float32) for _ in range(4)
-        ]
-        batched = plan.run_many(inputs)
-        assert len(batched) == 4
-        for x, out in zip(inputs, batched):
-            np.testing.assert_allclose(out, plan.run(x), rtol=1e-5, atol=1e-5)
-
-    def test_run_many_rejects_mismatched_shapes(self, rng):
-        model = lenet(spec=ConvSpec("im2row"))
-        model.eval()
-        plan = compile_model(model)
-        with pytest.raises(ValueError):
-            plan.run_many(
-                [
-                    rng.standard_normal((1, 1, 28, 28)).astype(np.float32),
-                    rng.standard_normal((1, 1, 14, 14)).astype(np.float32),
-                ]
-            )
-
     def test_tensor_call_interface(self, rng):
         model = lenet(spec=ConvSpec("im2row"))
         model.eval()

@@ -4,14 +4,10 @@ Contract:
 
 * **Reference bit-identity** — on the ``reference`` backend, threaded
   execution is bit-identical to serial on every parity model (fp32 and
-  int8): the scheduler only thread-splits ops whose per-sample results
-  cannot depend on the batch split, and cache-driven chunk decisions are
-  thread-count independent, so the decomposition (and hence every BLAS
-  call) matches the serial run.
+  int8): the oracle backend never splits a step, so every BLAS call
+  matches the serial run.
 * **Integer exactness** — native ``int8`` steps are exact at any GEMM
   blocking, so threaded int8 execution is bit-identical to serial too.
-* **Chunked × threaded invariance** — shrinking ``chunk_bytes`` and
-  raising ``threads`` compose without changing reference results.
 * **Concurrency safety** — many threads hammering one shared plan (each
   run checking an arena out of the pool) all get the right answer.
 """
@@ -23,7 +19,7 @@ import pytest
 
 from repro.autograd import Tensor, no_grad
 from repro.engine import compile_model
-from repro.engine.pool import configure_threads, default_threads, resolve_threads
+from repro.engine.pool import default_threads, resolve_threads
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.models.resnet import resnet18
@@ -69,23 +65,6 @@ class TestReferenceBitIdentity:
                 np.testing.assert_array_equal(
                     threaded, serial, err_msg=f"{name}: threads={threads}"
                 )
-
-    def test_chunked_and_threaded_compose_bitwise(self, rng):
-        model = _calibrated(
-            resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8())),
-            rng.standard_normal((8, 3, 32, 32)).astype(np.float32),
-        )
-        plan = compile_model(model, backend="reference")
-        x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
-        plan.chunk_bytes = 0
-        baseline = plan.run(x, threads=1)
-        plan.chunk_bytes = 1 << 12  # chunk almost every step...
-        for threads in (1, 4):  # ...and fan the chunks out
-            np.testing.assert_array_equal(
-                plan.run(x, threads=threads),
-                baseline,
-                err_msg=f"chunked threads={threads}",
-            )
 
 
 class TestInt8Exactness:
@@ -142,22 +121,6 @@ class TestConcurrency:
         assert report["arenas_built"] >= 1
         assert report["shape_misses"] == 0
 
-    def test_run_many_parallel_matches_per_input_runs(self, rng):
-        """stack=False executes each input as its own run on the worker
-        pool — per-input results must equal serial per-input runs bit
-        for bit (the stacked fusion is a *different* GEMM shape, so it
-        is only float-close, as run_many has always documented)."""
-        x = rng.standard_normal((6, 1, 28, 28)).astype(np.float32)
-        model = _calibrated(lenet(spec=ConvSpec("F2")), x)
-        plan = compile_model(model, backend="reference")
-        inputs = [x[i : i + 2] for i in range(0, 6, 2)]
-        concurrent = plan.run_many(inputs, threads=4, stack=False)
-        for xi, out in zip(inputs, concurrent):
-            np.testing.assert_array_equal(out, plan.run(xi))
-        stacked = plan.run_many(inputs)
-        for a, b in zip(stacked, concurrent):
-            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
-
     def test_worker_error_propagates(self, rng):
         x = rng.standard_normal((8, 1, 28, 28)).astype(np.float32)
         model = _calibrated(lenet(spec=ConvSpec("F2")), x)
@@ -185,25 +148,8 @@ class TestThreadResolution:
         assert default_threads() >= 1
         monkeypatch.setenv("REPRO_THREADS", "not-a-number")
         assert default_threads() == 1
-        configure_threads(5)
-        try:
-            assert default_threads() == 5
-        finally:
-            configure_threads(None)
 
     def test_zero_means_all_cores(self):
         import os
 
         assert resolve_threads(0) == (os.cpu_count() or 1)
-
-    def test_plan_attribute_is_the_default(self, rng, monkeypatch):
-        """plan.threads feeds run() when no per-call override is given —
-        observable through the scheduler taking the threaded path."""
-        from repro.engine import plan as plan_mod
-
-        x = rng.standard_normal((8, 1, 28, 28)).astype(np.float32)
-        model = _calibrated(lenet(spec=ConvSpec("F2")), x)
-        plan = compile_model(model, backend="fast")
-        serial = plan.run(x)
-        plan.threads = 4
-        np.testing.assert_allclose(plan.run(x), serial, rtol=1e-4, atol=1e-4)

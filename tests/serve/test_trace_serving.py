@@ -153,27 +153,42 @@ class TestTraceEndpoint:
             client.trace(format="nonsense")
         assert info.value.status == 400
 
-    def test_request_id_survives_batch_coalescing(self, traced_server):
-        barrier = threading.Barrier(3)
-        ids = ["co-a", "co-b", "co-c"]
+    def test_request_id_survives_batch_coalescing(self):
+        # A server of its own whose batch closes when it fills, not when
+        # a short wait timer fires: three simultaneous requests always
+        # coalesce, however the threads are scheduled.
+        registry = ModelRegistry()
+        registry.load(MODEL)
+        server = start_in_background(
+            registry,
+            policy=BatchPolicy(max_batch_size=3, max_wait_ms=2000.0),
+            executor_threads=2,
+            trace_rate=1.0,
+        )
+        try:
+            wait_until_ready(server.base_url)
+            barrier = threading.Barrier(3)
+            ids = ["co-a", "co-b", "co-c"]
 
-        def fire(rid):
-            with ServeClient(traced_server.base_url) as c:
-                barrier.wait()
-                c.predict_raw(_sample(), model=MODEL, request_id=rid)
+            def fire(rid):
+                with ServeClient(server.base_url) as c:
+                    barrier.wait()
+                    c.predict_raw(_sample(), model=MODEL, request_id=rid)
 
-        threads = [threading.Thread(target=fire, args=(rid,)) for rid in ids]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        with ServeClient(traced_server.base_url) as c:
-            spans = _fetch_spans(c)
+            threads = [threading.Thread(target=fire, args=(rid,)) for rid in ids]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            with ServeClient(server.base_url) as c:
+                spans = _fetch_spans(c)
+        finally:
+            server.stop()
         batches = [s for s in spans if s.name == "batch"]
         coalesced = [b for b in batches
                      if len(set(ids) & set(b.attrs["request_ids"])) >= 2]
         assert coalesced, (
-            "3 simultaneous requests against max_wait_ms=4 must coalesce"
+            "3 simultaneous requests against max_batch_size=3 must coalesce"
         )
         for rid in ids:
             sub = filter_request(spans, rid)
