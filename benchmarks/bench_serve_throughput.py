@@ -54,12 +54,13 @@ from check_bench_regression import (  # noqa: E402
 
 
 def main(argv=None) -> int:
+    from repro.serve.loadgen import SERVE_BENCH_MODEL
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    # The throughput variant serves the numerics-relaxed ``turbo`` backend
-    # (production int8 numerics); the bit-identity gate always checks a
-    # ``reference``-backend variant of the same model against direct
-    # CompiledPlan.run.
-    parser.add_argument("--model", default="resnet18-w0.25-F4-int8@turbo")
+    # The throughput variant serves the native integer ``int8`` backend;
+    # the bit-identity gate always checks a ``reference``-backend variant
+    # of the same model against direct CompiledPlan.run.
+    parser.add_argument("--model", default=SERVE_BENCH_MODEL)
     parser.add_argument(
         "--quick", action="store_true", help="smaller sweep for CI smoke"
     )

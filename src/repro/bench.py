@@ -82,8 +82,8 @@ def run_engine_benchmark(
 ) -> dict:
     """Engine-vs-eager speedups across backends, persisted as JSON.
 
-    Quantized workloads get ``turbo`` and native ``int8`` backend columns
-    next to ``fast``; the report records whether the int8 anomaly is
+    Quantized workloads get a native ``int8`` backend column next to
+    ``fast``; the report records whether the int8 anomaly is
     inverted (int8 on its native backend beating fp32 on ``fast``).
 
     Per-workload rows are measured at ``threads=1`` (and say so), so the
@@ -141,7 +141,7 @@ def run_engine_benchmark(
             "threads": 1,
             "eager_ms": round(measure_callable_ms(eager, repeats=repeats, warmup=warmup), 3),
         }
-        backends = ("fast", "reference") + (("turbo", "int8") if quantized else ())
+        backends = ("fast", "reference") + (("int8",) if quantized else ())
         for backend in backends:
             plan = compile_model(model, backend=backend)
             plans[(name, backend)] = (plan, x)

@@ -62,6 +62,9 @@ EXPERIMENTS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.engine.registry import BACKENDS
+    from repro.serve.loadgen import SERVE_BENCH_MODEL
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce tables/figures of 'Searching for Winograd-aware "
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument(
         "--backend",
         default="fast",
-        choices=("fast", "reference", "turbo", "int8"),
+        choices=BACKENDS,
         help="engine backend (contract per backend: docs/architecture.md "
         "'Backends')",
     )
@@ -404,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--model",
         default=None,
         help="model name (default: the server's only loaded model; "
-        "for --sweep: resnet18-w0.25-F4-int8@turbo)",
+        f"for --sweep/--overload: {SERVE_BENCH_MODEL})",
     )
     loadgen.add_argument(
         "--concurrency",
@@ -982,12 +985,13 @@ def run_loadgen(args) -> int:
     import numpy as np
 
     from repro.serve import ServeClient, benchmark_serving, run_load
+    from repro.serve.loadgen import SERVE_BENCH_MODEL
 
     if args.overload:
         from repro.serve.loadgen import measure_overload_goodput
 
         entry = measure_overload_goodput(
-            args.model or "resnet18-w0.25-F4-int8@turbo",
+            args.model or SERVE_BENCH_MODEL,
             workers=args.workers,
             quick=args.quick,
             seed=args.seed,
@@ -1002,7 +1006,7 @@ def run_loadgen(args) -> int:
 
     if args.sweep:
         report = benchmark_serving(
-            model_name=args.model or "resnet18-w0.25-F4-int8@turbo",
+            model_name=args.model or SERVE_BENCH_MODEL,
             requests_per_level=args.requests,
             workers=args.workers,
             workers_scale=args.workers_scale,

@@ -427,7 +427,7 @@ def _lower_resnext20(lw, module, reg):
 
 
 # ---------------------------------------------------------------------------
-# Fusion (fast / turbo backends)
+# Fusion (fast / int8 backends)
 # ---------------------------------------------------------------------------
 
 _FOLDABLE = ("conv2d", "winograd_conv2d")
@@ -503,7 +503,7 @@ def _fuse(steps: List[Step], output_reg: int, backend: str) -> List[Step]:
     return out
 
 
-def _finalize_fast(steps: List[Step], backend: str = "fast") -> None:
+def _finalize_fast(steps: List[Step]) -> None:
     """Precompute the fast kernels' GEMM-ready weight layouts."""
     for step in steps:
         if step.op == "conv2d":
@@ -543,14 +543,12 @@ def _finalize_fast(steps: List[Step], backend: str = "fast") -> None:
             # * t > 8 (F(6, 5)) — the one-shot t² product sum loses too
             #   much precision against the ill-conditioned large-tile
             #   Cook–Toom transforms;
-            # * quantized steps on the ``fast`` backend — a fake-quant
-            #   stage snaps the transformed tiles to a grid, and the kron
-            #   reassociation can flip values sitting on bin boundaries;
-            #   through a deep int8 network one flip avalanches, so
-            #   ``fast`` keeps eager's exact operation order there.
-            #   ``turbo`` opts into the reassociated grid decisions for
-            #   throughput (see repro.engine.registry docs).
-            if t <= 8 and (backend == "turbo" or not step.attrs.get("quantized")):
+            # * quantized steps — a fake-quant stage snaps the
+            #   transformed tiles to a grid, and the kron reassociation
+            #   can flip values sitting on bin boundaries; through a deep
+            #   int8 network one flip avalanches, so these keep eager's
+            #   exact operation order.
+            if t <= 8 and not step.attrs.get("quantized"):
                 BT, AT = step.attrs["BT"], step.attrs["AT"]
                 step.attrs["btk"] = np.ascontiguousarray(np.kron(BT, BT).transpose())
                 step.attrs["atk"] = np.ascontiguousarray(np.kron(AT, AT).transpose())
@@ -580,12 +578,12 @@ def compile_model(model: Module, backend: str = "fast") -> CompiledPlan:
     if not lowerer.steps:
         raise CompileError(f"{type(model).__name__} lowered to an empty plan")
     steps = _fuse(lowerer.steps, output_reg, backend)
-    if backend in ("fast", "turbo", "int8"):
+    if backend != "reference":
         # The int8 backend keeps the fast layouts too: they serve float
         # steps and the per-step fallback path (cold observers, flex
         # transforms).  Quantized Winograd steps keep the nested (eager
         # grid order) form there, so lazily-frozen ranges match eager.
-        _finalize_fast(steps, "fast" if backend == "int8" else backend)
+        _finalize_fast(steps)
     if backend == "int8":
         from repro.engine.int8 import finalize_int8
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.engine import get_cached_plan
 from repro.engine.cache import PlanCache
+from repro.engine.registry import BACKENDS
 
 #: architecture → (input channels, image size, default width multiplier).
 ARCHITECTURES: Dict[str, Tuple[int, int, Optional[float]]] = {
@@ -58,6 +59,10 @@ class ModelSpec:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; "
                 f"expected one of {sorted(ARCHITECTURES)}"
+            )
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
 
     @property

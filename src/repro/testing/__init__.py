@@ -1,7 +1,7 @@
 """Randomized differential-testing support (ISSUE 5).
 
 The engine now exposes a product of execution modes — ``reference`` /
-``fast`` / ``turbo`` / ``int8`` backends × thread counts × arena
+``fast`` / ``int8`` backends × thread counts × arena
 planning — and hand-written parity tests cannot cover
 that space.  This package generates *seeded random models* spanning the
 paper's search dimensions (conv algorithm F(m, r) vs im2row, widths,

@@ -66,6 +66,10 @@ class TestFusion:
         assert "affine" in plan.ops_used()
         affine = next(s for s in plan.steps if s.op == "affine")
         assert affine.attrs["fuse_relu"]
+        # Quantized Winograd keeps eager's nested transform order (the
+        # grid decisions must match), so no Kronecker forms are built.
+        wino = next(s for s in plan.steps if s.op == "winograd_conv2d")
+        assert "btk" not in wino.attrs and "atk" not in wino.attrs
 
     def test_winograd_transform_precomputed_once(self):
         layer = ConvSpec("F4").build(4, 4, kernel_size=3)

@@ -8,8 +8,7 @@ threads combination and each mode's documented contract is asserted
 
 * ``reference`` must equal the eager forward **bitwise**, and stay
   bitwise under the thread scheduler;
-* ``fast``/``turbo`` must stay within their documented float/grid
-  tolerances;
+* ``fast`` must stay within its documented float/grid tolerances;
 * ``int8`` outputs must be bit-identical to the exact int64-GEMM oracle
   (the int8 exactness contract), bit-stable under threads when fully
   native, and any quantization-bin flip at an auditable Winograd

@@ -31,7 +31,15 @@ class TestModelSpec:
         assert ModelSpec.parse("resnet18-F4-int8").sample_shape == (3, 32, 32)
 
     @pytest.mark.parametrize(
-        "bad", ["", "resnet18", "unknownarch-F4-int8", "resnet18-wabc-F4-int8"]
+        "bad",
+        [
+            "",
+            "resnet18",
+            "unknownarch-F4-int8",
+            "resnet18-wabc-F4-int8",
+            "lenet-F2-fp32@turbo",
+            "lenet-F2-fp32@bogus",
+        ],
     )
     def test_bad_names_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ from repro.serve.selfheal import (
 from repro.serve.server import InferenceServer
 
 NAME = "lenet-F2-fp32"
-VARIANT = "lenet-F2-fp32@turbo"
+VARIANT = "lenet-F2-fp32@reference"
 
 
 class FakeClock:
