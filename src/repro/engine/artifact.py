@@ -71,10 +71,12 @@ MAGIC = b"REPROPLN"
 #: Current artifact format version.  The loader rejects any other value
 #: (forward *and* backward: a version bump means the layout changed) —
 #: see the compatibility policy in ``docs/artifact-format.md``.
-#: Version 3 dropped the transform-domain residency and per-tap grid
-#: attributes version 2 could carry; a version-2 file may hold steps
-#: this reader cannot run, so it is rejected rather than degraded.
-FORMAT_VERSION = 3
+#: Version 4 runs native int8 steps channels-last: their weights are
+#: stored in NHWC order, their steps carry a ``layout`` attr, and
+#: ``transpose`` steps convert at the NCHW boundaries.  A version-3 int8
+#: file holds NCHW-ordered weights and no conversions, so it is rejected
+#: rather than run wrong.
+FORMAT_VERSION = 4
 
 #: Fixed header: magic, format version, header size, total file size,
 #: manifest offset, manifest length, SHA-256 of bytes [header_size, file

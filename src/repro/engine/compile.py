@@ -17,8 +17,10 @@ producer steps, so a ``Conv→BN→ReLU`` chain executes as one kernel.
 Quantized convolutions keep BN as a separate (ReLU-fused) affine step:
 folding would change the values entering the frozen quantization grid.
 (The ``int8`` backend instead absorbs that affine into the layer's
-integer-domain epilogue — after the frozen grids — and wires integer
-handoffs between quantized layers; see :mod:`repro.engine.int8`.)
+integer-domain epilogue — after the frozen grids — wires integer
+handoffs between quantized layers, and runs its native conv steps
+channels-last behind ``transpose`` conversions; see
+:mod:`repro.engine.int8`.)
 """
 
 from __future__ import annotations
@@ -587,7 +589,7 @@ def compile_model(model: Module, backend: str = "fast") -> CompiledPlan:
     if backend == "int8":
         from repro.engine.int8 import finalize_int8
 
-        steps = finalize_int8(steps, output_reg)
+        steps, output_reg = finalize_int8(steps, output_reg, lowerer.new_reg)
     for step in steps:
         step.fn = registry.get(step.op, backend)
     return CompiledPlan(

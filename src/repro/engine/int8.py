@@ -50,11 +50,26 @@ at compile time (a calibrated model); a plan compiled from a cold model
 keeps float handoffs and warms its per-step constants lazily after the
 first batch froze the ranges (via the ``fast``-kernel fallback, which
 freezes exactly like eager's eval-before-observation path).
+
+Channels-last execution
+-----------------------
+A last pass lays the native conv steps out NHWC (batch, height, width,
+channel): every native ``conv2d``/``winograd_conv2d`` step reads and
+writes channels-last registers, and ``add``/``max_pool``/``record_hw``
+follow when all their inputs are NHWC.  Tile gathers and output
+scatters then move runs of ``C``/``K`` contiguous values instead of
+runs of ``m`` or ``t``, and a 1×1 conv is one plain ``(N·H·W, C) @ (C,
+K)`` GEMM.  The integer weights are stored in the matching order.
+``transpose`` steps (attr ``perm``) convert wherever an NCHW register
+meets a channels-last step, so the plan input and output stay NCHW; on
+ResNet-18 that is one conversion after the input and one before
+``global_avg_pool``.  The step attr ``layout = "nhwc"`` marks the
+channels-last steps for the kernels and the memory planner.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -165,6 +180,8 @@ def _static_conv2d(attrs: Dict) -> Optional[Dict]:
         "bound": bound,
         "s_w": float(q_w["scale"]),
     }
+    # Channels-last GEMM operands: rows of im2row are (kh, kw, C/g) runs
+    # of the NHWC input, so the reduction axis is ordered the same way.
     if (
         kh == 1
         and kw == 1
@@ -172,13 +189,11 @@ def _static_conv2d(attrs: Dict) -> Optional[Dict]:
         and attrs["stride"] == (1, 1)
         and attrs["padding"] == (0, 0)
     ):
-        i8["wq_1x1"] = np.ascontiguousarray(wq.reshape(k, cg))
-    elif g == 1:
-        i8["wq_mat"] = np.ascontiguousarray(wq.reshape(k, reduction).transpose())
+        i8["wq_1x1"] = np.ascontiguousarray(wq.reshape(k, cg).transpose())  # (C, K)
     else:
         i8["wq_mat"] = np.ascontiguousarray(
-            np.transpose(wq.reshape(g, k // g, reduction), (0, 2, 1))
-        )
+            np.transpose(wq.reshape(g, k // g, cg, kh, kw), (0, 3, 4, 2, 1))
+        ).reshape(g, reduction, k // g)  # (g, kh·kw·C/g, K/g)
     return i8
 
 
@@ -231,9 +246,9 @@ def _static_winograd(attrs: Dict) -> Optional[Dict]:
     g, t, k = attrs["groups"], attrs["t"], attrs["out_channels"]
     u2q = np.ascontiguousarray(
         np.transpose(
-            _codes(u, q_wt, dt_h).reshape(g, k // g, cg, t, t), (3, 4, 0, 1, 2)
+            _codes(u, q_wt, dt_h).reshape(g, k // g, cg, t, t), (3, 4, 0, 2, 1)
         )
-    )
+    )  # (t, t, g, C/g, K/g): per tap, channels-last tiles @ weights
     return {
         "ok": True,
         "ready": False,
@@ -439,14 +454,77 @@ def _wire_handoffs(steps: List, output_reg: int) -> None:
         consumer.label = ("int→ " + consumer.label).strip()
 
 
-def finalize_int8(steps: List, output_reg: int) -> List:
+#: ``step.attrs["layout"]`` of a channels-last step; steps without the
+#: attr run NCHW.
+NHWC = "nhwc"
+
+#: ``perm`` of the two layout conversions (``transpose`` steps).
+TO_NHWC = (0, 2, 3, 1)
+TO_NCHW = (0, 3, 1, 2)
+
+#: Layout-agnostic ops that run channels-last when every input is.
+LAYOUT_FOLLOWERS = frozenset({"add", "max_pool", "record_hw"})
+
+
+def _assign_layouts(steps: List, output_reg: int, new_reg: Callable[[], int]):
+    """Run every native conv step channels-last (NHWC).
+
+    A native ``conv2d``/``winograd_conv2d`` step reads and writes NHWC;
+    ``add``/``max_pool``/``record_hw`` follow when all their inputs are
+    NHWC.  Every other step reads NCHW.  Where the two meet, one
+    ``transpose`` step converts (shared by every consumer of the same
+    register), and the plan output is converted back, so the plan's
+    input and output stay NCHW.  Returns ``(steps, output_reg)``.
+    """
+    from repro.engine.plan import Step
+
+    nhwc: set = set()
+    converted: Dict[tuple, int] = {}
+    out: List = []
+
+    def convert(reg: int, perm: tuple) -> int:
+        key = (reg, perm)
+        if key not in converted:
+            label = "nchw→nhwc" if perm == TO_NHWC else "nhwc→nchw"
+            converted[key] = new_reg()
+            out.append(Step("transpose", (reg,), converted[key], {"perm": perm}, label))
+        return converted[key]
+
+    for step in steps:
+        if step.op in ("conv2d", "winograd_conv2d"):
+            channels_last = step.domain == "int8"
+        else:
+            channels_last = (
+                step.op in LAYOUT_FOLLOWERS
+                and bool(step.inputs)
+                and all(reg in nhwc for reg in step.inputs)
+            )
+        if channels_last:
+            step.attrs["layout"] = NHWC
+            step.inputs = tuple(
+                reg if reg in nhwc else convert(reg, TO_NHWC) for reg in step.inputs
+            )
+            nhwc.add(step.output)
+        else:
+            step.inputs = tuple(
+                convert(reg, TO_NCHW) if reg in nhwc else reg for reg in step.inputs
+            )
+        out.append(step)
+    if output_reg in nhwc:
+        output_reg = convert(output_reg, TO_NCHW)
+    return out, output_reg
+
+
+def finalize_int8(steps: List, output_reg: int, new_reg: Callable[[], int]):
     """Prepare every eligible step for native integer execution.
 
-    Mutates step attrs in place (adding the ``i8`` dict) and returns the
-    new step list with absorbed ``affine`` steps removed.  Steps left
-    without an ``i8`` dict (or with none at all on float models) simply
-    execute through the ``fast`` → ``reference`` fallback
-    kernels — compilation never fails on ineligible layers.
+    Mutates step attrs in place (adding the ``i8`` dict), drops absorbed
+    ``affine`` steps, wires integer handoffs, and lays the native steps
+    out channels-last (``new_reg`` allocates the registers of the
+    inserted layout conversions).  Returns ``(steps, output_reg)``.
+    Steps left without an ``i8`` dict (or with none at all on float
+    models) simply execute through the ``fast`` → ``reference``
+    fallback kernels — compilation never fails on ineligible layers.
     """
     for step in steps:
         if step.op in _STATIC and step.attrs.get("quantized"):
@@ -456,10 +534,12 @@ def finalize_int8(steps: List, output_reg: int) -> List:
                 step.domain = "int8"
     steps = _absorb_affines(steps, output_reg)
     _wire_handoffs(steps, output_reg)
+    # A conversion only permutes codes, so handoffs wired above survive it.
+    steps, output_reg = _assign_layouts(steps, output_reg, new_reg)
     # Eagerly prepare fully-frozen steps so warm plans are ready-to-run
     # (cold steps prepare lazily after their first batch froze ranges).
     for step in steps:
         i8 = step.attrs.get("i8")
         if i8 and i8.get("ok") and _all_frozen(step):
             prepare_runtime(step.op, step.attrs)
-    return steps
+    return steps, output_reg

@@ -12,6 +12,13 @@ Two backends per op where it matters:
   strided tile extraction, a dedicated 1×1-convolution GEMM, and cached
   (pre-transformed, pre-laid-out) Winograd filters.
 
+A third family, the ``int8`` kernels, executes quantized convolutions
+and linear layers on integer codes (see :mod:`repro.engine.int8`).  Its
+conv kernels are channels-last: they read and write NHWC registers (the
+step attr ``layout = "nhwc"``), as do the ``max_pool``/``record_hw``
+kernels of steps carrying that attr; ``transpose`` steps convert at the
+NCHW boundaries.  Every other kernel is NCHW.
+
 Kernel signature: ``kernel(inputs, attrs) -> np.ndarray``.  ``attrs`` is
 the step's frozen attribute dict; quantization stages appear as
 ``q_<stage>`` entries of the form ``{"scale": s, "qmax": q}`` (frozen
@@ -36,7 +43,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.int8 import prepare_runtime, stages_cold
+from repro.engine.int8 import NHWC, TO_NCHW, TO_NHWC, prepare_runtime, stages_cold
 from repro.engine.memplan import take_out, take_scratch
 from repro.engine.registry import register_kernel
 from repro.quant.quantizer import quantization_scale
@@ -225,9 +232,23 @@ def record_hw_kernel(inputs, attrs):
     layers do.
     """
     (x,) = inputs
+    h, w = x.shape[1:3] if attrs.get("layout") == NHWC else x.shape[2:4]
     for module in attrs["modules"]:
-        module.last_input_hw = (x.shape[2], x.shape[3])
+        module.last_input_hw = (h, w)
     return x
+
+
+@register_kernel("transpose")
+def transpose_kernel(inputs, attrs):
+    """Layout conversion (NCHW ↔ NHWC): the input with its axes permuted
+    by ``perm``, copied into the planned output register."""
+    (x,) = inputs
+    src = np.transpose(x, attrs["perm"])
+    out = take_out(src.shape, x.dtype)
+    if out is None:
+        return np.ascontiguousarray(src)
+    np.copyto(out, src)
+    return out
 
 
 @register_kernel("eager_module")
@@ -266,18 +287,25 @@ def max_pool_kernel(inputs, attrs):
 @register_kernel("max_pool", "fast")
 def max_pool_fast(inputs, attrs):
     """Window max as kh·kw strided-slice maximums (bit-equal to reference:
-    max is exactly associative, only the reduction order differs)."""
+    max is exactly associative, only the reduction order differs).  Runs
+    channels-last when the step's ``layout`` says so."""
     (x,) = inputs
     kh, kw = attrs["kernel"]
     sh, sw = attrs["stride"]
-    n, c, h, w = x.shape
+    nhwc = attrs.get("layout") == NHWC
+    if nhwc:
+        n, h, w, c = x.shape
+    else:
+        n, c, h, w = x.shape
     nh = (h - kh) // sh + 1
     nw = (w - kw) // sw + 1
-    out = take_out((n, c, nh, nw), x.dtype)
+    out = take_out((n, nh, nw, c) if nhwc else (n, c, nh, nw), x.dtype)
     first = True
     for i in range(kh):
         for j in range(kw):
-            window = x[:, :, i : i + sh * nh : sh, j : j + sw * nw : sw]
+            rows = slice(i, i + sh * nh, sh)
+            cols = slice(j, j + sw * nw, sw)
+            window = x[:, rows, cols] if nhwc else x[:, :, rows, cols]
             if first:
                 if out is None:
                     out = np.ascontiguousarray(window)
@@ -676,7 +704,9 @@ def winograd_fast(inputs, attrs):
 # blocking, and reassociation-friendly layouts (the transform output is
 # produced directly in the Hadamard layout; the output transform
 # consumes the Hadamard layout directly) are safe in a way they are not
-# for the float ``fast`` paths.
+# for the float ``fast`` paths.  The conv kernels are channels-last
+# (NHWC in, NHWC out): channels are the innermost axis of every tile,
+# GEMM operand and epilogue broadcast.
 
 #: Set True (tests/debugging) to assert at run time that every integer
 #: accumulator stays within its compile-time bound.
@@ -738,17 +768,15 @@ def _requant_codes(acc, d, q, bias=None):
     return acc
 
 
-def _requant_out(out, rq, bias_shape=None):
+def _requant_out(out, rq):
     """Output-stage requant: fused requant onto the q_output grid, then a
     lossless downcast to float32 (codes ≤ qmax are exactly representable)
     so the epilogue composes in float32 exactly like the reference path's
-    elementwise ops.  No-op when the output stage is disabled."""
+    elementwise ops.  No-op when the output stage is disabled.  Channels
+    sit on the last axis, so the per-channel bias broadcasts as is."""
     if rq is None:
         return out
-    bias = rq["bias"]
-    if bias is not None and bias_shape is not None:
-        bias = bias.reshape(bias_shape)
-    _requant_codes(out, rq["d"], rq["q"], bias=bias)
+    _requant_codes(out, rq["d"], rq["q"], bias=rq["bias"])
     return _cast_scratch(out, np.float32, "rq_f32")
 
 
@@ -778,7 +806,11 @@ def _cold_fallback(fast_fn, inputs, attrs):
     kernel — freezing the dynamic ranges exactly like eager's
     eval-before-observation path — and apply any absorbed BatchNorm in
     float.  Once every stage is frozen the kernel switches to the
-    integer path for good."""
+    integer path for good.  A channels-last step converts its input to
+    NCHW for the float kernel and its result back, here only."""
+    nhwc = attrs.get("layout") == NHWC
+    if nhwc:
+        inputs = tuple(np.ascontiguousarray(np.transpose(a, TO_NCHW)) for a in inputs)
     y = fast_fn(inputs, attrs)
     post = attrs["i8"].get("post")
     if post is not None:
@@ -786,6 +818,8 @@ def _cold_fallback(fast_fn, inputs, attrs):
         y = y * post["scale"].reshape(bshape) + post["shift"].reshape(bshape)
         if post["relu"]:
             np.maximum(y, 0.0, out=y)
+    if nhwc:
+        y = np.ascontiguousarray(np.transpose(y, TO_NHWC))
     return y
 
 
@@ -802,14 +836,45 @@ def _int8_gate(op, fast_fn, inputs, attrs):
     return i8
 
 
+def _nhwc_patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """(N, nH, nW, kh, kw, C) sliding-window *view* of an NHWC array:
+    each window row is a run of ``kw·C`` contiguous values."""
+    n, h, w, c = x.shape
+    nh = (h - kh) // sh + 1
+    nw = (w - kw) // sw + 1
+    sn, shh, sww, sc = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(n, nh, nw, kh, kw, c), strides=(sn, shh * sh, sww * sw, shh, sww, sc)
+    )
+
+
+def _load_codes(x, attrs, i8, out):
+    """Write the step's input codes into ``out`` (same shape as ``x``):
+    a copy when the producer already emitted codes on this step's grid,
+    else one quantization pass."""
+    if i8.get("input_prequantized"):
+        out[...] = x
+    else:
+        _quantize_codes(x, attrs["q_input"], out=out)
+
+
+def _output_buffer(shape, dt, tag: str) -> np.ndarray:
+    """Where a GEMM whose epilogue finishes in place should land: the
+    step's planned output register when the accumulator is float32 (the
+    result then needs no final copy), else step scratch."""
+    out = take_out(shape) if np.dtype(dt) == np.float32 else None
+    return out if out is not None else take_scratch(tag, shape, dt)
+
+
 @register_kernel("winograd_conv2d", "int8")
 def winograd_int8(inputs, attrs):
-    """Winograd on integer codes: quantize once into the padded buffer,
-    one integer Kronecker GEMM producing the Hadamard layout directly,
-    integer Hadamard contraction, transpose-free integer output
-    transform, fused requant between every stage.  Every buffer —
-    padded codes, tile matrix, transform domains, NCHW assembly — comes
-    from step scratch."""
+    """Channels-last Winograd on integer codes: quantize once into the
+    padded NHWC buffer, gather tiles as runs of ``C`` codes, one integer
+    Kronecker GEMM producing the Hadamard layout ``(t², P, C)``, per-tap
+    integer GEMMs against ``(C, K)`` weights, one integer output
+    transform, fused requant between every stage, and a scatter of
+    ``K``-long runs into the NHWC output.  Every buffer comes from step
+    scratch (or the planned output register)."""
     i8 = _int8_gate("winograd_conv2d", winograd_fast, inputs, attrs)
     if i8 is None:
         return winograd_fast(inputs, attrs)
@@ -818,69 +883,67 @@ def winograd_int8(inputs, attrs):
     (x,) = inputs
     m, r, t, g = attrs["m"], attrs["r"], attrs["t"], attrs["groups"]
     k, pad = attrs["out_channels"], attrs["pad"]
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     out_h, out_w, th, tw = _winograd_geometry(h, w, m, r, pad)
     tt, p = t * t, n * th * tw
     need_h, need_w = th * m + r - 1, tw * m + r - 1
     dt_v, dt_h, dt_z = i8["dts"]
     aligned = pad == 0 and need_h == h and need_w == w
 
-    # Quantize straight into the zero-padded buffer: one pass, and the
+    # Codes land straight in the zero-padded buffer: one pass, and the
     # zero padding is its own quantization (code(0) = 0).  When the
     # tiles already cover the input exactly, prequantized codes are
     # tiled straight off the producer's register with no copy at all.
     if aligned and i8.get("input_prequantized"):
         xp = x
     else:
-        xp = take_scratch("xp", (n, c, need_h, need_w), np.float32, zero=not aligned)
-        interior = xp if aligned else xp[:, :, pad : pad + h, pad : pad + w]
-        if i8.get("input_prequantized"):
-            interior[...] = x  # producer already emitted codes on our grid
-        else:
-            _quantize_codes(x, attrs["q_input"], out=interior)
+        xp = take_scratch("xp", (n, need_h, need_w, c), np.float32, zero=not aligned)
+        _load_codes(x, attrs, i8, xp if aligned else xp[:, pad : pad + h, pad : pad + w])
 
-    # Tile copy directly into (t², C·P) — the Kronecker GEMM then emits
-    # the Hadamard-ready layout, killing the float path's big transpose.
-    tiles = _strided_patches(xp, t, t, m, m)  # (n, c, th, tw, t, t) view
-    tmat = take_scratch("tmat", (tt, c * p), dt_v)
-    tmat.reshape(t, t, c, n, th, tw)[...] = np.transpose(tiles, (4, 5, 1, 0, 2, 3))
+    tmat = take_scratch("tmat", (tt, p * c), dt_v)
+    tmat.reshape(t, t, n, th, tw, c)[...] = np.transpose(
+        _nhwc_patches(xp, t, t, m, m), (3, 4, 0, 1, 2, 5)
+    )
     v = _int8_matmul(
-        i8["btk"], tmat, out=take_scratch("v", (tt, c * p), dt_v)
-    )  # (t², C·P), exact integers
+        i8["btk"], tmat, out=take_scratch("v", (tt, p * c), dt_v)
+    )  # (t², P·C), exact integers
     if INT8_STRICT:
         assert float(np.abs(v).max(initial=0.0)) <= i8["bounds"][0]
     _requant_codes(v, i8["d_v"], attrs["q_input_t"])
     v = _cast_scratch(v, dt_h, "v_h")
-    had = _int8_matmul(
-        i8["u2q"],
-        v.reshape(t, t, g, c // g, p),
-        out=take_scratch("had", (t, t, g, k // g, p), dt_h),
-    )  # (t, t, g, K/g, P)
+    had = take_scratch("had", (tt, p, k), dt_h)
+    # Per tap and group: (P, C/g) @ (C/g, K/g).  The grouped operands are
+    # strided views whose rows stay contiguous, so BLAS takes them as is.
+    _int8_matmul(
+        np.transpose(v.reshape(tt, p, g, c // g), (0, 2, 1, 3)),
+        i8["u2q"].reshape(tt, g, c // g, k // g),
+        out=np.transpose(had.reshape(tt, p, g, k // g), (0, 2, 1, 3)),
+    )
     if INT8_STRICT:
         assert float(np.abs(had).max(initial=0.0)) <= i8["bounds"][1]
     _requant_codes(had, i8["d_h"], attrs["q_hadamard"])
     had = _cast_scratch(had, dt_z, "had_z")
     z = _int8_matmul(
-        i8["atk"],
-        had.reshape(tt, k * p),
-        out=take_scratch("z", (m * m, k * p), dt_z),
-    )  # (m², K·P)
+        i8["atk"], had.reshape(tt, p * k), out=take_scratch("z", (m * m, p * k), dt_z)
+    )  # (m², P·K)
     if INT8_STRICT:
         assert float(np.abs(z).max(initial=0.0)) <= i8["bounds"][2]
     z = _requant_out(z, i8["rq_out"])
-    out = _int8_epilogue(z.reshape(m * m, k, p), i8, (1, k, 1))
-    y = take_scratch("y", (n, k, th * m, tw * m), np.float32)
-    y.reshape(n, k, th, m, tw, m)[...] = np.transpose(
-        out.reshape(m, m, k, n, th, tw), (3, 2, 4, 0, 5, 1)
+    out = _int8_epilogue(z.reshape(m * m * p, k), i8, (k,))
+    crop = th * m != out_h or tw * m != out_w
+    y = None if crop else take_out((n, out_h, out_w, k))
+    if y is None:
+        y = take_scratch("y", (n, th * m, tw * m, k), np.float32)
+    y.reshape(n, th, m, tw, m, k)[...] = np.transpose(
+        out.reshape(m, m, n, th, tw, k), (2, 3, 0, 4, 1, 5)
     )
-    if th * m != out_h or tw * m != out_w:
-        y = y[:, :, :out_h, :out_w]
-    return y
+    return y[:, :out_h, :out_w] if crop else y
 
 
 @register_kernel("conv2d", "int8")
 def conv2d_int8(inputs, attrs):
-    """im2row GEMM on integer codes with fused requant epilogue."""
+    """Channels-last im2row GEMM on integer codes with fused requant
+    epilogue; a 1×1 stride-1 conv is one ``(N·H·W, C) @ (C, K)`` GEMM."""
     i8 = _int8_gate("conv2d", conv2d_fast, inputs, attrs)
     if i8 is None:
         return conv2d_fast(inputs, attrs)
@@ -891,62 +954,41 @@ def conv2d_int8(inputs, attrs):
     ph, pw = attrs["padding"]
     g = attrs["groups"]
     k, cg, kh, kw = attrs["weight"].shape
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     dt = i8["dt"]
-    rq = i8["rq_out"]
 
     if "wq_1x1" in i8:
-        if i8.get("input_prequantized"):
-            qx = np.ascontiguousarray(x).reshape(n, c, h * w)
+        oh, ow = h, w
+        if i8.get("input_prequantized") and x.dtype == dt and x.flags.c_contiguous:
+            qx = x
         else:
-            qx = _quantize_codes(
-                x, attrs["q_input"], out=take_scratch("qx", x.shape, np.float32)
-            ).reshape(n, c, h * w)
-        qx = _cast_scratch(qx, dt, "qx_dt")
-        out = _int8_matmul(
-            i8["wq_1x1"][None], qx, out=take_scratch("gemm", (n, k, h * w), dt)
-        )  # (n, K, H·W)
-        if INT8_STRICT:
-            assert float(np.abs(out).max(initial=0.0)) <= i8["bound"]
-        out = _requant_out(out, rq, bias_shape=(1, k, 1))
-        out = _int8_epilogue(out, i8, (1, k, 1))
-        return out.reshape(n, k, h, w)
-
-    xp = take_scratch("xp", (n, c, h + 2 * ph, w + 2 * pw), np.float32, zero=True)
-    interior = xp[:, :, ph : ph + h, pw : pw + w]
-    if i8.get("input_prequantized"):
-        interior[...] = x
+            qx = take_scratch("qx", x.shape, np.float32)
+            _load_codes(x, attrs, i8, qx)
+            qx = _cast_scratch(qx, dt, "qx_dt")
+        gemm = _output_buffer((n, oh, ow, k), dt, "gemm")
+        _int8_matmul(qx.reshape(n * h * w, c), i8["wq_1x1"], out=gemm.reshape(-1, k))
     else:
-        _quantize_codes(x, attrs["q_input"], out=interior)
-    patches = _strided_patches(xp, kh, kw, sh, sw)
-    oh, ow = patches.shape[2], patches.shape[3]
-    if g == 1:
-        rows = take_scratch("rows", (n * oh * ow, c * kh * kw), dt)
-        rows.reshape(n, oh, ow, c, kh, kw)[...] = np.transpose(
-            patches, (0, 2, 3, 1, 4, 5)
+        xp = take_scratch("xp", (n, h + 2 * ph, w + 2 * pw, c), np.float32, zero=True)
+        _load_codes(x, attrs, i8, xp[:, ph : ph + h, pw : pw + w])
+        patches = _nhwc_patches(xp, kh, kw, sh, sw)  # (n, oh, ow, kh, kw, C)
+        oh, ow = patches.shape[1], patches.shape[2]
+        rows = take_scratch("rows", (n * oh * ow, g, kh * kw * cg), dt)
+        rows.reshape(n, oh, ow, g, kh, kw, cg)[...] = np.transpose(
+            patches.reshape(n, oh, ow, kh, kw, g, cg), (0, 1, 2, 5, 3, 4, 6)
         )
-        out = _int8_matmul(
-            rows, i8["wq_mat"], out=take_scratch("gemm", (n * oh * ow, k), dt)
-        )  # (n·oh·ow, K)
-        if INT8_STRICT:
-            assert float(np.abs(out).max(initial=0.0)) <= i8["bound"]
-        out = _requant_out(out, rq)
-        out = _int8_epilogue(out, i8, (k,))
-        return np.transpose(out.reshape(n, oh, ow, k), (0, 3, 1, 2))
-    rows = take_scratch("rows", (g, n * oh * ow, (c // g) * kh * kw), dt)
-    rows.reshape(g, n, oh, ow, c // g, kh, kw)[...] = np.transpose(
-        patches.reshape(n, g, c // g, oh, ow, kh, kw), (1, 0, 3, 4, 2, 5, 6)
-    )
-    out = _int8_matmul(
-        rows, i8["wq_mat"], out=take_scratch("gemm", (g, n * oh * ow, k // g), dt)
-    )  # (g, n·oh·ow, K/g)
+        gemm = _output_buffer((n, oh, ow, k), dt, "gemm")
+        # Per group: (N·oh·ow, kh·kw·C/g) @ (kh·kw·C/g, K/g), on strided
+        # views whose rows stay contiguous.
+        _int8_matmul(
+            np.transpose(rows, (1, 0, 2)),
+            i8["wq_mat"],
+            out=np.transpose(gemm.reshape(n * oh * ow, g, k // g), (1, 0, 2)),
+        )
     if INT8_STRICT:
-        assert float(np.abs(out).max(initial=0.0)) <= i8["bound"]
-    out = _requant_out(out, rq, bias_shape=(g, 1, k // g))
-    out = _int8_epilogue(out, i8, (g, 1, k // g))
-    return np.transpose(
-        out.reshape(g, n, oh, ow, k // g), (1, 0, 4, 2, 3)
-    ).reshape(n, k, oh, ow)
+        assert float(np.abs(gemm).max(initial=0.0)) <= i8["bound"]
+    # In place on the (n, oh, ow, K) buffer: a float32 accumulator comes
+    # back as the planned output register itself.
+    return _int8_epilogue(_requant_out(gemm, i8["rq_out"]), i8, (k,))
 
 
 @register_kernel("linear", "int8")

@@ -8,7 +8,9 @@ removes that:
   symbolic — all lowered ops carry the batch on axis 0, so per-sample
   shapes are enough) from the step attributes alone, with no data.
   Plans containing an op with no shape rule (``eager_module``) keep the
-  legacy allocate-per-step executor.
+  legacy allocate-per-step executor.  Channels-last steps of ``int8``
+  plans (step attr ``layout = "nhwc"``) get the same rules on permuted
+  shapes; ``transpose`` steps permute.
 * **Liveness → slot assignment** extends the executor's existing
   ``frees`` analysis into a static buffer-reuse plan: registers whose
   live ranges are disjoint share one arena slot (best-fit over freed
@@ -46,6 +48,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.int8 import NHWC, TO_NCHW, TO_NHWC
+
 #: Ops whose kernel may return its input array (or a view of it): the
 #: output register aliases the input register's memory, so they must
 #: share a slot lifetime.
@@ -74,14 +78,24 @@ def _pool_hw(h: int, w: int, kernel, stride) -> Tuple[int, int]:
 
 def infer_step_shape(step, in_shapes: List[Optional[tuple]]) -> Optional[tuple]:
     """Output shape of one step given its input shapes (batch=1), or
-    ``None`` when the op has no rule (or an input is unknown)."""
+    ``None`` when the op has no rule (or an input is unknown).  A
+    channels-last step (``layout = "nhwc"``) gets the NCHW rule on its
+    permuted input shapes, permuted back."""
     if any(s is None for s in in_shapes):
         return None
-    a = step.attrs
-    op = step.op
+    if step.attrs.get("layout") == NHWC:
+        nchw = [tuple(s[axis] for axis in TO_NCHW) for s in in_shapes]
+        out = _nchw_shape(step.op, step.attrs, nchw)
+        return None if out is None else tuple(out[axis] for axis in TO_NHWC)
+    return _nchw_shape(step.op, step.attrs, in_shapes)
+
+
+def _nchw_shape(op: str, a: dict, in_shapes: List[tuple]) -> Optional[tuple]:
     s0 = in_shapes[0] if in_shapes else None
     if op in ("relu", "affine", "record_hw", "add"):
         return s0
+    if op == "transpose":
+        return tuple(s0[axis] for axis in a["perm"])
     if op == "flatten":
         return (s0[0], _prod(s0[1:]))
     if op == "concat":

@@ -47,6 +47,7 @@ _CHUNKABLE_OPS = frozenset(
         "linear",
         "max_pool",
         "relu",
+        "transpose",
         "winograd_conv2d",
     }
 )
@@ -456,10 +457,12 @@ class CompiledPlan:
         return tuple(sorted({s.op for s in self.steps}))
 
     def int8_report(self) -> Dict[str, int]:
-        """Counts of native-int8 steps and integer-code handoffs (the
-        compile-time fusion the ``int8`` backend performed)."""
+        """Counts of native-int8 steps, integer-code handoffs, absorbed
+        BatchNorms and NCHW↔NHWC layout conversions (the compile-time
+        work the ``int8`` backend performed)."""
         native = [s for s in self.steps if s.domain == "int8"]
         return {
+            "layout_conversions": sum(1 for s in self.steps if s.op == "transpose"),
             "native_int8_steps": len(native),
             "int_handoffs": sum(
                 1 for s in native if s.attrs.get("i8", {}).get("emit_q") is not None
@@ -528,6 +531,8 @@ class CompiledPlan:
             tag = " +relu" if step.attrs.get("fuse_relu") else ""
             if step.domain != "float":
                 tag += f" <{step.domain}>"
+            if "layout" in step.attrs:
+                tag += f" <{step.attrs['layout']}>"
             label = f" [{step.label}]" if step.label else ""
             ins = ",".join(f"r{r}" for r in step.inputs)
             lines.append(f"  {i:3d}: {step.op}{tag}{label} ({ins}) -> r{step.output}")

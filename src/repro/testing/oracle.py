@@ -14,9 +14,10 @@ so the randomized differential harness can apply them to *any* model:
   composition landed on the other side of a bin boundary — not that the
   integer path is wrong.
 
-* :func:`winograd_stem_flip_report` — the stage-level audit from PR 3,
-  generalized: when a plan's *first* step is a quantized Winograd conv
-  reading the plan input, recompute its transformed-input quantization
+* :func:`winograd_stem_flip_report` — the stage-level audit, generalized:
+  when a plan's *first* step is a quantized Winograd conv reading the
+  plan input (through the NCHW→NHWC conversion the ``int8`` backend
+  puts in front of it), recompute its transformed-input quantization
   codes both ways (float32 reference composition vs exact integer
   composition) and verify every flipped decision sits within float32
   rounding of a half-integer bin boundary.  A wrong requant multiplier,
@@ -72,7 +73,8 @@ def winograd_stem_flip_report(plan, x: np.ndarray) -> Optional[dict]:
     """Audit the transformed-input quantization codes of a Winograd stem.
 
     Applies when the plan's first step is a native-int8
-    ``winograd_conv2d`` whose only input is the plan input register and
+    ``winograd_conv2d`` whose only input is the plan input register —
+    directly, or through the leading NCHW→NHWC ``transpose`` step — and
     whose input/transform quantization stages are frozen; returns
     ``None`` when the plan has no such step (the caller then relies on
     the model-level int64-oracle identity alone).
@@ -83,16 +85,25 @@ def winograd_stem_flip_report(plan, x: np.ndarray) -> Optional[dict]:
     ``unjustified`` (flips whose exact grid argument is *not* within
     float32 rounding of a half-integer boundary — must be zero).
     """
+    from repro.engine.int8 import TO_NHWC
     from repro.engine.kernels import _strided_patches, fake_quant
 
     steps = plan.steps
+    source = plan.input_reg
+    if (
+        steps
+        and steps[0].op == "transpose"
+        and tuple(steps[0].inputs) == (source,)
+        and tuple(steps[0].attrs["perm"]) == TO_NHWC
+    ):
+        source, steps = steps[0].output, steps[1:]
     if not steps:
         return None
     step = steps[0]
     if (
         step.op != "winograd_conv2d"
         or step.domain != "int8"
-        or tuple(step.inputs) != (plan.input_reg,)
+        or tuple(step.inputs) != (source,)
     ):
         return None
     attrs = step.attrs

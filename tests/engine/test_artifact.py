@@ -214,6 +214,18 @@ class TestRejection:
         with pytest.raises(ArtifactVersionError, match=str(version)):
             load_plan(path)
 
+    def test_v3_int8_artifact_rejected(self, tmp_path, int8_case):
+        """A version-3 int8 plan has NCHW native steps and no layout
+        conversions; this reader's channels-last kernels cannot run it."""
+        gm, plan = int8_case
+        assert plan.int8_report()["layout_conversions"] > 0
+        path, _ = _saved(tmp_path, plan, gm.sample_input())
+        with open(path, "r+b") as fh:
+            fh.seek(len(MAGIC))
+            fh.write(struct.pack("<I", 3))
+        with pytest.raises(ArtifactFormatError, match="version 3"):
+            load_plan(path)
+
     def test_wrong_magic(self, tmp_path, fp32_case):
         gm, plan = fp32_case
         x = gm.sample_input()

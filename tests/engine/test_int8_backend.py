@@ -28,7 +28,7 @@ import pytest
 import repro.engine.kernels as kernels
 from repro.autograd import Tensor, no_grad
 from repro.engine import compile_model
-from repro.engine.int8 import dyadic_exponent
+from repro.engine.int8 import TO_NCHW, dyadic_exponent
 from repro.engine.registry import registry
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
@@ -38,7 +38,7 @@ from repro.models.squeezenet import squeezenet
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.qlayers import QuantConv2d, QuantLinear
 from repro.quant.qconfig import fp32, int8
-from repro.testing.oracle import exact_int64_matmul
+from repro.testing.oracle import exact_int64_matmul, int64_gemm
 from repro.winograd.layer import WinogradConv2d
 
 
@@ -89,19 +89,22 @@ class TestExactness:
 
     def test_single_quantized_layers_bitwise_vs_reference(self, rng, strict_bounds):
         """One quantized layer composes through a single grid per stage:
-        conv/linear agree with the reference backend bit for bit."""
-        x = rng.standard_normal((2, 4, 16, 16)).astype(np.float32)
-        layers = [
-            QuantConv2d(Conv2d(4, 6, 1), int8()),
-            QuantConv2d(Conv2d(4, 6, 3, padding=1), int8()),
-            QuantConv2d(Conv2d(4, 8, 3, padding=1, groups=2), int8()),
-            QuantConv2d(Conv2d(4, 6, 3, stride=2, padding=1), int8()),
-        ]
-        for layer in layers:
-            calibrated(layer, x)
-            ref = compile_model(layer, backend="reference").run(x)
-            out = compile_model(layer, backend="int8").run(x)
-            np.testing.assert_array_equal(out, ref)
+        conv/linear agree with the reference backend bit for bit.  The
+        non-square input catches an H/W mix-up in the channels-last
+        kernels, which the int64 oracle (same kernels) cannot."""
+        for shape in ((2, 4, 16, 16), (2, 4, 16, 12)):
+            x = rng.standard_normal(shape).astype(np.float32)
+            layers = [
+                QuantConv2d(Conv2d(4, 6, 1), int8()),
+                QuantConv2d(Conv2d(4, 6, 3, padding=1), int8()),
+                QuantConv2d(Conv2d(4, 8, 3, padding=1, groups=2), int8()),
+                QuantConv2d(Conv2d(4, 6, 3, stride=2, padding=1), int8()),
+            ]
+            for layer in layers:
+                calibrated(layer, x)
+                ref = compile_model(layer, backend="reference").run(x)
+                out = compile_model(layer, backend="int8").run(x)
+                np.testing.assert_array_equal(out, ref, err_msg=str(shape))
         linear = calibrated(QuantLinear(Linear(12, 5), int8()),
                             rng.standard_normal((3, 12)).astype(np.float32))
         xl = rng.standard_normal((3, 12)).astype(np.float32)
@@ -114,19 +117,30 @@ class TestExactness:
     def test_winograd_tile_grid_vs_reference(self, rng, m, r, strict_bounds):
         """Every supported F(m, r): grid-consistent with reference (at
         most a few bin flips at float32 rounding boundaries), and exactly
-        equal to the int64 oracle composition."""
-        layer = WinogradConv2d(4, 6, kernel_size=r, m=m, qconfig=int8())
-        x = rng.standard_normal((2, 4, 16, 16)).astype(np.float32)
-        calibrated(layer, x)
-        ref = compile_model(layer, backend="reference").run(x)
-        out = compile_model(layer, backend="int8").run(x)
-        scale = float(np.abs(ref).max())
-        assert out.shape == ref.shape
-        # bin flips move an output by whole grid steps; bound their
-        # count and size instead of demanding bitwise float equality
-        mismatch = float((out != ref).mean())
-        assert mismatch <= 0.02, f"too many grid flips: {mismatch:.4f}"
-        np.testing.assert_allclose(out, ref, rtol=0, atol=0.02 * scale)
+        equal to the int64 oracle composition.  Also a grouped layer,
+        and a non-square input whose 15×11 output is no multiple of any
+        ``m`` (the tile grid overhangs and the output is cropped)."""
+        cases = [
+            (WinogradConv2d(4, 6, kernel_size=r, m=m, qconfig=int8()), (2, 4, 16, 16)),
+            (WinogradConv2d(4, 6, kernel_size=r, m=m, groups=2, qconfig=int8()),
+             (2, 4, 16, 16)),
+            (WinogradConv2d(4, 6, kernel_size=r, m=m, qconfig=int8()), (2, 4, 15, 11)),
+        ]
+        for layer, shape in cases:
+            x = rng.standard_normal(shape).astype(np.float32)
+            calibrated(layer, x)
+            ref = compile_model(layer, backend="reference").run(x)
+            out = compile_model(layer, backend="int8").run(x)
+            scale = float(np.abs(ref).max())
+            assert out.shape == ref.shape
+            # bin flips move an output by whole grid steps; bound their
+            # count and size instead of demanding bitwise float equality
+            mismatch = float((out != ref).mean())
+            assert mismatch <= 0.02, f"too many grid flips: {mismatch:.4f}"
+            np.testing.assert_allclose(out, ref, rtol=0, atol=0.02 * scale)
+            with int64_gemm():
+                oracle = compile_model(layer, backend="int8").run(x)
+            np.testing.assert_array_equal(out, oracle)
 
 
 class TestModelGridConsistency:
@@ -240,6 +254,28 @@ class TestJunctionFusion:
         # absorbed affine steps are gone from the plan entirely
         assert "affine" not in plan.ops_used()
 
+    def test_flagship_resnet_converts_layout_twice(self, rng):
+        """The flagship ResNet-18 F4 shape runs channels-last from the
+        stem to the last block: one conversion after the plan input, one
+        before global_avg_pool, and the same native steps and handoffs
+        as NCHW execution had."""
+        model = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8()))
+        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        calibrated(model, x)
+        plan = compile_model(model, backend="int8")
+        assert plan.int8_report() == {
+            "layout_conversions": 2,
+            "native_int8_steps": 22,
+            "int_handoffs": 8,
+            "absorbed_affines": 21,
+        }
+        labels = [s.label for s in plan.steps if s.op == "transpose"]
+        assert labels == ["nchw→nhwc", "nhwc→nchw"]
+        assert plan.steps[0].inputs == (plan.input_reg,)
+        (gap,) = [s for s in plan.steps if s.op == "global_avg_pool"]
+        assert gap.inputs == (plan.steps[plan.steps.index(gap) - 1].output,)
+        assert plan.steps[plan.steps.index(gap) - 1].op == "transpose"
+
     def test_lenet_handoff_through_pool_and_flatten(self, rng):
         """max_pool and flatten are grid-preserving: codes flow conv →
         pool → conv and conv → pool → flatten → linear."""
@@ -248,6 +284,39 @@ class TestJunctionFusion:
         calibrated(model, x)
         plan = compile_model(model, backend="int8")
         assert plan.int8_report()["int_handoffs"] >= 2
+        # flatten's element order is NCHW's: the channels-last codes are
+        # converted back right before it
+        producers = {s.output: s for s in plan.steps}
+        (flatten,) = [s for s in plan.steps if s.op == "flatten"]
+        conversion = producers[flatten.inputs[0]]
+        assert conversion.op == "transpose"
+        assert tuple(conversion.attrs["perm"]) == TO_NCHW
+        assert conversion.label == "nhwc→nchw"
+
+    def test_pool_and_record_hw_follow_channels_last(self, rng):
+        """max_pool and a mixed op's record_hw between native convs run
+        NHWC and must read H and W from that layout (non-square input)."""
+        from repro.nas import MixedConv2d, wa_space
+        from repro.nn.layers import MaxPool2d
+        from repro.nn.module import Sequential
+
+        mixed = MixedConv2d(4, 6, wa_space("int8", flex=False), seed=0)
+        model = Sequential(
+            QuantConv2d(Conv2d(3, 4, 3, padding=1), int8()), MaxPool2d(2), mixed
+        )
+        x = rng.standard_normal((2, 3, 12, 20)).astype(np.float32)
+        calibrated(model, x)
+        plan = compile_model(model, backend="int8")
+        followers = [s for s in plan.steps if s.op in ("max_pool", "record_hw")]
+        assert [s.attrs.get("layout") for s in followers] == ["nhwc", "nhwc"]
+        mixed.last_input_hw = None
+        out = plan.run(x)
+        assert mixed.last_input_hw == (6, 10)
+        ref = compile_model(model, backend="reference").run(x)
+        assert out.shape == ref.shape == (2, 6, 6, 10)
+        np.testing.assert_allclose(
+            out, ref, rtol=0, atol=0.02 * float(np.abs(ref).max())
+        )
 
     def test_cold_plan_wires_no_handoffs_then_warms(self, rng):
         """A plan compiled from an uncalibrated model must not assume

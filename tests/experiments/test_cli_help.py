@@ -82,7 +82,7 @@ class TestCompileCommand:
         assert main(["compile", "--inspect", out]) == 0
         inspected = capsys.readouterr().out
         assert '"model": "lenet-F2-fp32@reference"' in inspected
-        assert '"format_version": 3' in inspected
+        assert '"format_version": 4' in inspected
 
     def test_compile_without_model_errors(self, capsys):
         assert main(["compile"]) == 2
