@@ -53,18 +53,6 @@ def check(baseline: dict, fresh: dict, tolerance: float) -> list:
         if fresh_row is None:
             failures.append(f"{name}: workload disappeared from the fresh report")
             continue
-        # Speedups are only comparable like-for-like: a row measured with
-        # a different engine thread count is a different experiment.
-        # (Reports before the parallel executor carried no "threads" key
-        # and were serial — default 1 keeps them comparable.)
-        base_threads = base_row.get("threads", 1)
-        fresh_threads = fresh_row.get("threads", 1)
-        if base_threads != fresh_threads:
-            print(
-                f"note: {name}: skipping speedup comparison "
-                f"(baseline threads={base_threads}, fresh threads={fresh_threads})"
-            )
-            continue
         for key, base_value in base_row.items():
             if not key.startswith("speedup_"):
                 continue
@@ -78,7 +66,6 @@ def check(baseline: dict, fresh: dict, tolerance: float) -> list:
                     f"{name}: {key} regressed {base_value:.3f} -> "
                     f"{fresh_value:.3f} (floor {floor:.3f})"
                 )
-    failures += _check_threaded(baseline, fresh, tolerance)
     failures += _check_memory(fresh)
     failures += _check_trace_overhead(baseline, fresh)
     failures += _check_workers_scaling(baseline, fresh, tolerance)
@@ -93,59 +80,6 @@ def check(baseline: dict, fresh: dict, tolerance: float) -> list:
                 "int8 anomaly regressed: native int8 "
                 f"{anomaly['int8_native_ms']:.3f} ms vs fp32-fast "
                 f"{anomaly['fp32_fast_ms']:.3f} ms (ceiling {ceiling:.3f})"
-            )
-    return failures
-
-
-def _check_threaded(baseline: dict, fresh: dict, tolerance: float) -> list:
-    """Threaded speedups compare only like-for-like: same thread count on
-    both reports, and at least that many cores on the fresh host."""
-    base = baseline.get("threaded_speedup")
-    fresh_t = fresh.get("threaded_speedup")
-    if not base:
-        return []  # pre-executor baseline: nothing to hold
-    if not fresh_t:
-        # The entry legitimately disappears only on a host too small to
-        # run the baseline's thread count; on a capable host a missing
-        # entry means thread resolution broke — exactly what we guard.
-        base_threads = int(base.get("threads", 1) or 1)
-        if int(fresh.get("cpu_count", 1)) >= max(2, base_threads):
-            return [
-                "threaded_speedup entry disappeared from the fresh report "
-                f"(host has {fresh.get('cpu_count')} cores for "
-                f"threads={base_threads})"
-            ]
-        print(
-            "note: skipping threaded_speedup comparison (fresh host has "
-            f"{fresh.get('cpu_count')} cores; baseline ran threads={base_threads})"
-        )
-        return []
-    if base.get("threads") != fresh_t.get("threads"):
-        print(
-            "note: skipping threaded_speedup comparison "
-            f"(baseline threads={base.get('threads')}, "
-            f"fresh threads={fresh_t.get('threads')})"
-        )
-        return []
-    threads = int(fresh_t.get("threads", 1))
-    if int(fresh.get("cpu_count", 1)) < threads:
-        print(
-            f"note: skipping threaded_speedup comparison (fresh host has "
-            f"{fresh.get('cpu_count')} cores for threads={threads})"
-        )
-        return []
-    failures = []
-    for name, base_entry in base.get("workloads", {}).items():
-        fresh_entry = fresh_t.get("workloads", {}).get(name)
-        if fresh_entry is None:
-            failures.append(f"threaded_speedup: workload {name} disappeared")
-            continue
-        floor = (1.0 - tolerance) * base_entry["speedup"]
-        if fresh_entry["speedup"] < floor:
-            failures.append(
-                f"threaded_speedup: {name} regressed "
-                f"{base_entry['speedup']:.3f} -> {fresh_entry['speedup']:.3f} "
-                f"(floor {floor:.3f})"
             )
     return failures
 

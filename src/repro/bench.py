@@ -17,8 +17,8 @@ import json
 import pathlib
 from typing import Callable, Dict, Optional
 
-#: name -> (runner, description).  A runner takes (out_path, quick, seed,
-#: threads) and returns the report dict it wrote.
+#: name -> (runner, description).  A runner takes (out_path, quick, seed)
+#: and returns the report dict it wrote.
 BENCHMARKS: Dict[str, tuple] = {}
 
 
@@ -35,14 +35,13 @@ def run_benchmark(
     out: Optional[str] = None,
     quick: bool = False,
     seed: int = 0,
-    threads: Optional[int] = None,
 ) -> dict:
     if name not in BENCHMARKS:
         raise KeyError(
             f"unknown benchmark {name!r}; registered: {sorted(BENCHMARKS)}"
         )
     runner, _ = BENCHMARKS[name]
-    return runner(out_path=out, quick=quick, seed=seed, threads=threads)
+    return runner(out_path=out, quick=quick, seed=seed)
 
 
 def _engine_workloads(seed: int):
@@ -78,7 +77,6 @@ def run_engine_benchmark(
     out_path: Optional[str] = None,
     quick: bool = False,
     seed: int = 0,
-    threads: Optional[int] = None,
 ) -> dict:
     """Engine-vs-eager speedups across backends, persisted as JSON.
 
@@ -86,14 +84,9 @@ def run_engine_benchmark(
     ``fast``; the report records whether the int8 anomaly is
     inverted (int8 on its native backend beating fp32 on ``fast``).
 
-    Per-workload rows are measured at ``threads=1`` (and say so), so the
-    speedup columns stay comparable across hosts and PRs regardless of
-    core count.  The parallel executor is measured separately in the
-    ``threaded_speedup`` entry: the ResNet ``fast`` and ``int8`` plans
-    at ``threads=1`` vs ``threads=N`` (``threads`` argument /
-    ``--threads`` / ``REPRO_THREADS``, default all cores), alongside
-    ``cpu_count`` and the memory planner's allocation stats so the
-    zero-allocation contract is tracked in the same artifact.
+    The report also carries ``cpu_count`` and the memory planner's
+    allocation stats, so the zero-allocation contract is tracked in the
+    same artifact.
 
     The ``trace_overhead`` entry (ISSUE 7) pins the observability
     contract: ``run`` with tracing disabled within 1% of the pristine
@@ -107,19 +100,9 @@ def run_engine_benchmark(
 
     from repro.autograd import Tensor, no_grad
     from repro.engine import compile_model, measure_callable_ms, measure_plan_ms
-    from repro.engine.pool import THREADS_ENV_VAR, resolve_threads
 
     repeats = 3 if quick else 7
     warmup = 1 if quick else 2
-    # Threaded-speedup thread count: explicit argument > REPRO_THREADS >
-    # all cores (the documented chain; the per-workload rows below are
-    # always threads=1 regardless).
-    if threads is not None:
-        n_threads = resolve_threads(threads)
-    elif os.environ.get(THREADS_ENV_VAR, "").strip():
-        n_threads = resolve_threads(None)
-    else:
-        n_threads = resolve_threads(0)
     workloads = _engine_workloads(seed)
     for model, x in workloads.values():
         model.eval()
@@ -138,43 +121,19 @@ def run_engine_benchmark(
         row = {
             "workload": name,
             "batch": int(x.shape[0]),
-            "threads": 1,
             "eager_ms": round(measure_callable_ms(eager, repeats=repeats, warmup=warmup), 3),
         }
         backends = ("fast", "reference") + (("int8",) if quantized else ())
         for backend in backends:
             plan = compile_model(model, backend=backend)
             plans[(name, backend)] = (plan, x)
-            ms = measure_plan_ms(plan, x, repeats=repeats, warmup=warmup, threads=1)
+            ms = measure_plan_ms(plan, x, repeats=repeats, warmup=warmup)
             row[f"engine_{backend}_ms"] = round(ms, 3)
             row[f"speedup_{backend}"] = round(row["eager_ms"] / ms, 3)
         summary.append(row)
 
     fp32_row = next(r for r in summary if r["workload"] == "resnet18-w0.25-F4")
     int8_row = next(r for r in summary if r["workload"] == "resnet18-w0.25-F4-int8")
-
-    # Parallel executor: threads=1 vs threads=N on the serving-shaped
-    # workloads the acceptance contract names.  With only one thread to
-    # measure (1-core host and no override) the "speedup" would be two
-    # identical measurements' noise, so the entry is omitted — the
-    # regression guard skips absent entries.
-    threaded = None
-    if n_threads > 1:
-        threaded = {"threads": n_threads, "workloads": {}}
-        for name, backend in (
-            ("resnet18-w0.25-F4", "fast"),
-            ("resnet18-w0.25-F4-int8", "int8"),
-        ):
-            plan, x = plans[(name, backend)]
-            ms_1 = measure_plan_ms(plan, x, repeats=repeats, warmup=warmup, threads=1)
-            ms_n = measure_plan_ms(
-                plan, x, repeats=repeats, warmup=warmup, threads=n_threads
-            )
-            threaded["workloads"][f"{name}@{backend}"] = {
-                "ms_threads_1": round(ms_1, 3),
-                "ms_threads_n": round(ms_n, 3),
-                "speedup": round(ms_1 / ms_n, 3),
-            }
 
     fast_plan, fast_x = plans[("resnet18-w0.25-F4", "fast")]
 
@@ -195,21 +154,21 @@ def run_engine_benchmark(
     try:
         buf = obs_trace.TraceBuffer()
         for _ in range(max(1, warmup)):
-            fast_plan._run_untraced(fast_x, 1)
-            fast_plan.run(fast_x, threads=1)
-            fast_plan.run(fast_x, threads=1, trace=buf)
+            fast_plan._run_untraced(fast_x)
+            fast_plan.run(fast_x)
+            fast_plan.run(fast_x, trace=buf)
         best = {"pristine": float("inf"), "disabled": float("inf"),
                 "enabled": float("inf")}
         for _ in range(overhead_rounds):
             t0 = _time.perf_counter()
-            fast_plan._run_untraced(fast_x, 1)
+            fast_plan._run_untraced(fast_x)
             best["pristine"] = min(best["pristine"], _time.perf_counter() - t0)
             t0 = _time.perf_counter()
-            fast_plan.run(fast_x, threads=1)
+            fast_plan.run(fast_x)
             best["disabled"] = min(best["disabled"], _time.perf_counter() - t0)
             buf.clear()
             t0 = _time.perf_counter()
-            fast_plan.run(fast_x, threads=1, trace=buf)
+            fast_plan.run(fast_x, trace=buf)
             best["enabled"] = min(best["enabled"], _time.perf_counter() - t0)
     finally:
         if saved_tracer is not None:
@@ -231,7 +190,6 @@ def run_engine_benchmark(
     memory = fast_plan.memory_report(batch=int(fp32_row["batch"]))
     report = {
         "benchmark": "bench_engine_vs_eager",
-        "threads": 1,  # thread count of the per-workload rows
         "cpu_count": os.cpu_count() or 1,
         "results": summary,
         "int8_anomaly": {
@@ -240,7 +198,6 @@ def run_engine_benchmark(
             "int8_native_ms": int8_row["engine_int8_ms"],
             "inverted": int8_row["engine_int8_ms"] < fp32_row["engine_fast_ms"],
         },
-        "threaded_speedup": threaded,
         "trace_overhead": trace_overhead,
         "memory": {
             "workload": "resnet18-w0.25-F4@fast",
@@ -260,11 +217,9 @@ def run_serve_benchmark(
     out_path: Optional[str] = None,
     quick: bool = False,
     seed: int = 0,
-    threads: Optional[int] = None,
 ) -> dict:
-    """``seed``/``threads`` are accepted for runner-signature uniformity
-    but unused: the sweep's model/load seeds are fixed by the served
-    ModelSpec, and its servers run at the REPRO_THREADS default."""
+    """``seed`` is accepted for runner-signature uniformity but unused:
+    the sweep's model/load seeds are fixed by the served ModelSpec."""
     from repro.serve import benchmark_serving
 
     return benchmark_serving(

@@ -128,14 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="weight/init RNG seed (default 0)"
     )
     infer.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="engine threads per plan run (0 = all cores; default "
-        "REPRO_THREADS or 1; decision table: docs/operations.md "
-        "'Threads, workers, replicas')",
-    )
-    infer.add_argument(
         "--compare", action="store_true", help="also time the eager forward"
     )
     infer.add_argument(
@@ -186,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="start the dynamic-batching inference server (repro.serve)",
         description="Serve one or more compiled variants over HTTP; "
         "topology knobs and the scaling decision table live in "
-        "docs/operations.md ('Threads, workers, replicas').",
+        "docs/operations.md ('Workers and replicas').",
     )
     serve.add_argument(
         "--model",
@@ -211,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="worker processes with shared-memory tensor transport "
         "(0 = in-process serving, the exact single-process path; "
-        "docs/operations.md 'Threads, workers, replicas')",
+        "docs/operations.md 'Workers and replicas')",
     )
     serve.add_argument(
         "--worker-replicas",
@@ -219,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="processes each model is placed on (default min(workers, 2); "
         "raise for single-model deployments that should use every "
-        "worker; docs/operations.md 'Threads, workers, replicas')",
+        "worker; docs/operations.md 'Workers and replicas')",
     )
     serve.add_argument(
         "--executor-threads",
@@ -231,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="engine threads per dispatched batch (0 = all cores; "
-        "default REPRO_THREADS or 1; docs/operations.md "
-        "'Threads, workers, replicas')",
+        default=1,
+        choices=(1,),
+        help="engine threads per dispatched batch: only 1 (every plan "
+        "runs on one thread; scale with --workers)",
     )
     serve.add_argument(
         "--max-batch-size",
@@ -384,14 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--out", default=None, help="report path (default: BENCH_<name>.json at repo root)"
     )
-    bench.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="threaded-speedup thread count for the engine benchmark "
-        "(0 = all cores; default REPRO_THREADS or all cores; "
-        "docs/operations.md 'Threads, workers, replicas')",
-    )
 
     loadgen = sub.add_parser(
         "loadgen",
@@ -443,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="--sweep server worker processes (0 = in-process baseline; "
-        "docs/operations.md 'Threads, workers, replicas')",
+        "docs/operations.md 'Workers and replicas')",
     )
     loadgen.add_argument(
         "--workers-scale",
@@ -545,13 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="weight/input RNG seed (default 0)"
     )
     profile.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="engine threads (0 = all cores; default REPRO_THREADS or 1; "
-        "docs/operations.md 'Threads, workers, replicas')",
-    )
-    profile.add_argument(
         "--backends",
         default=None,
         help="comma-separated backends to profile and diff side by side "
@@ -602,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="self-contained mode: worker processes, so the trace "
         "covers the shm transport + worker execution too (default 0 "
-        "= in-process; docs/operations.md 'Threads, workers, replicas')",
+        "= in-process; docs/operations.md 'Workers and replicas')",
     )
     trace.add_argument(
         "--requests",
@@ -638,20 +615,15 @@ def run_infer(args) -> int:
         np.float32
     )
 
-    from repro.engine import resolve_threads
-
     plan = get_cached_plan(model, x.shape, backend=args.backend)
-    threads = resolve_threads(args.threads)
-    out = plan.run(x, threads=threads)
-    engine_ms = measure_plan_ms(
-        plan, x, repeats=args.repeats, warmup=2, threads=threads
-    )
+    out = plan.run(x)
+    engine_ms = measure_plan_ms(plan, x, repeats=args.repeats, warmup=2)
     print(
         f"{model_spec.name} batch={args.batch} {image_size}x{image_size} "
         f"-> output {out.shape}"
     )
     print(
-        f"engine[{args.backend}] threads={threads}: {engine_ms:8.2f} ms/batch "
+        f"engine[{args.backend}]: {engine_ms:8.2f} ms/batch "
         f"({1e3 * args.batch / engine_ms:7.1f} img/s), {len(plan)} steps"
     )
     if args.compare:
@@ -872,9 +844,6 @@ def run_serve(args) -> int:
                 else 5
             ),
         )
-    from repro.engine import resolve_threads
-
-    threads = resolve_threads(args.threads)
     try:
         server = InferenceServer(
             registry,
@@ -884,7 +853,6 @@ def run_serve(args) -> int:
             workers=args.workers,
             worker_replicas=args.worker_replicas,
             executor_threads=args.executor_threads,
-            threads=threads,
             trace_rate=args.trace_rate,
             admission=admission,
             chaos=chaos,
@@ -907,8 +875,7 @@ def run_serve(args) -> int:
         print(
             f"serving on http://{server.host}:{server.port} "
             f"(max_batch_size={policy.max_batch_size}, "
-            f"max_wait_ms={policy.max_wait_ms:g}, {mode}, "
-            f"threads={threads})",
+            f"max_wait_ms={policy.max_wait_ms:g}, {mode})",
             flush=True,
         )
         if chaos:
@@ -1100,7 +1067,7 @@ def run_profile(args) -> int:
 
     import numpy as np
 
-    from repro.engine import CompileError, resolve_threads
+    from repro.engine import CompileError
     from repro.obs.profile import (
         diff_profile_table,
         format_profile_table,
@@ -1121,7 +1088,6 @@ def run_profile(args) -> int:
     backends = [
         b.strip() for b in (args.backends or "").split(",") if b.strip()
     ] or [spec.backend]
-    threads = resolve_threads(args.threads)
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(
         (args.batch,) + spec.sample_shape
@@ -1136,17 +1102,14 @@ def run_profile(args) -> int:
         except (ValueError, CompileError) as exc:
             print(f"error: backend {backend!r}: {exc}", file=sys.stderr)
             return 2
-        profiles[backend] = profile_plan(
-            served.plan, x, repeats=args.repeats, threads=threads
-        )
+        profiles[backend] = profile_plan(served.plan, x, repeats=args.repeats)
 
     if len(profiles) == 1:
-        print(f"{spec.name} batch={args.batch} threads={threads}")
+        print(f"{spec.name} batch={args.batch}")
         print(format_profile_table(next(iter(profiles.values()))))
     else:
         for backend, prof in profiles.items():
-            print(f"--- {spec.name}@{backend} "
-                  f"batch={args.batch} threads={threads}")
+            print(f"--- {spec.name}@{backend} batch={args.batch}")
             print(format_profile_table(prof))
             print()
         print("--- per-step diff (ms)")
@@ -1264,7 +1227,6 @@ def run_bench(args) -> int:
         out=args.out,
         quick=args.quick,
         seed=args.seed,
-        threads=args.threads,
     )
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

@@ -13,8 +13,6 @@ plan of NumPy inference kernels:
 * :mod:`repro.engine.memplan` — the compile-time memory planner: shape
   inference over the register file, liveness-based arena slot reuse, and
   the per-run workspace arena behind zero-allocation steady state;
-* :mod:`repro.engine.pool` — the shared worker pool and ``REPRO_THREADS``
-  resolution behind the parallel step scheduler;
 * :mod:`repro.engine.cache` — the LRU plan cache keyed by
   (architecture signature, input shape, quant config).
 
@@ -42,7 +40,6 @@ from repro.engine.cache import PlanCache, get_cached_plan, plan_cache
 from repro.engine.compile import CompileError, compile_model
 from repro.engine.memplan import MemoryLayout, plan_layout
 from repro.engine.plan import CompiledPlan, Step
-from repro.engine.pool import default_threads, resolve_threads
 from repro.engine.registry import BACKENDS, KernelRegistry, register_kernel, registry
 from repro.engine.timing import measure_callable_ms, measure_plan_ms
 
@@ -58,7 +55,6 @@ __all__ = [
     "PlanCache",
     "Step",
     "compile_model",
-    "default_threads",
     "get_cached_plan",
     "measure_callable_ms",
     "measure_plan_ms",
@@ -66,5 +62,4 @@ __all__ = [
     "plan_layout",
     "register_kernel",
     "registry",
-    "resolve_threads",
 ]

@@ -26,16 +26,13 @@ removes that:
   warm-up every request hits an existing buffer: zero steady-state
   arena allocations.
 
-Arenas are checked out per ``run`` from a small pool, so concurrent
-executions of one shared plan (the inference server does this from its
-worker pool) never touch the same buffers.
-
-Thread-safety contract of the scratch space: keys are ``(step, tag,
-lane)``.  Serial execution uses lane 0; the parallel scheduler gives
-each worker lane its own key set and exactly one batch chunk, so a
-scratch buffer is never written by two threads at once, and a chunk
-result that *views* scratch is copied into the output register before
-the step ends.
+Arenas are checked out per ``run``, so concurrent executions of one
+shared plan (the inference server does this from its dispatch threads)
+never touch the same buffers.  The executor runs every step whole on the
+calling thread: it activates its arena for the run (:func:`activate`)
+and tells it which step is running (:meth:`Arena.enter_step`), so scratch
+keys are ``(step, tag)`` and no buffer is ever written by two threads at
+once.
 """
 
 from __future__ import annotations
@@ -251,9 +248,13 @@ class Arena:
         self._scratch: Dict[tuple, np.ndarray] = {}
         self._buf_ids: set = set()
         self._regs: Dict[int, np.ndarray] = {}
-        # Counter lock only: buffers themselves are race-free by keying
-        # (scratch keys are lane-disjoint, slots are sized before lanes
-        # start), but the counters are += from concurrent lanes.
+        #: The running step's index and planned output view
+        #: (:meth:`enter_step`).
+        self.step = -1
+        self.out: Optional[np.ndarray] = None
+        # Counter lock only.  One run at a time owns the arena, so the
+        # executor never contends for it; it keeps the counters safe to
+        # update from any thread.
         self._stats_lock = threading.Lock()
         self.alloc_events = 0  # lifetime buffer allocations/growths
         self.last_run_allocs = 0
@@ -296,11 +297,15 @@ class Arena:
             regs[reg] = self._slots[slot][:count].reshape((n,) + tail)
         self._regs = regs
 
-    def reg_view(self, reg: int) -> Optional[np.ndarray]:
-        return self._regs.get(reg)
+    def enter_step(self, step: int, reg: int) -> Optional[np.ndarray]:
+        """Mark ``step`` (writing register ``reg``) as the running step;
+        returns its planned output view."""
+        self.step = step
+        self.out = self._regs.get(reg)
+        return self.out
 
     def scratch(self, key: tuple, shape, dtype, zero: bool = False) -> np.ndarray:
-        """A per-(step, tag, lane) workspace of at least ``shape``.
+        """A per-(step, tag) workspace of at least ``shape``.
 
         Capacity-based: the flat backing buffer only grows.  ``zero``
         zero-fills on (re)allocation only — safe for the padded-input
@@ -447,48 +452,35 @@ class ArenaPool:
 # ---------------------------------------------------------------------------
 
 
-class _Scope:
-    __slots__ = ("arena", "step", "lane", "out")
-
-    def __init__(self, arena, step, lane, out):
-        self.arena = arena
-        self.step = step
-        self.lane = lane
-        self.out = out
-
-
 _ws = threading.local()
 
 
-def bind_step(arena: Optional[Arena], step: int, lane: int, out) -> Optional[_Scope]:
-    """Enter a step scope (returns the previous scope for restoration)."""
-    prev = getattr(_ws, "scope", None)
-    _ws.scope = _Scope(arena, step, lane, out) if arena is not None else None
+def activate(arena: Optional[Arena]) -> Optional[Arena]:
+    """Make ``arena`` the calling thread's workspace for one run (``None``:
+    kernels allocate); returns the previous one for restoration."""
+    prev = getattr(_ws, "arena", None)
+    _ws.arena = arena
     return prev
-
-
-def unbind_step(prev: Optional[_Scope]) -> None:
-    _ws.scope = prev
 
 
 def take_out(shape, dtype=np.float32) -> Optional[np.ndarray]:
     """The running step's planned output buffer, or ``None`` (the kernel
     then allocates — exactly NumPy's ``out=None`` behaviour)."""
-    scope = getattr(_ws, "scope", None)
-    if scope is None or scope.out is None:
+    arena = getattr(_ws, "arena", None)
+    if arena is None or arena.out is None:
         return None
-    out = scope.out
+    out = arena.out
     if out.shape == tuple(shape) and out.dtype == np.dtype(dtype):
-        scope.arena.note_hit()
+        arena.note_hit()
         return out
-    scope.arena.note_shape_miss()
+    arena.note_shape_miss()
     return None
 
 
 def take_scratch(tag: str, shape, dtype=np.float32, zero: bool = False) -> np.ndarray:
     """A kernel temporary: arena-backed inside a planned run, a fresh
     array (``np.zeros``/``np.empty``) everywhere else."""
-    scope = getattr(_ws, "scope", None)
-    if scope is None:
+    arena = getattr(_ws, "arena", None)
+    if arena is None:
         return np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
-    return scope.arena.scratch((scope.step, tag, scope.lane), shape, dtype, zero=zero)
+    return arena.scratch((arena.step, tag), shape, dtype, zero=zero)

@@ -1,4 +1,4 @@
-"""The execution plan IR and its zero-allocation parallel executor.
+"""The execution plan IR and its zero-allocation executor.
 
 A compiled plan is a flat list of :class:`Step`s over a register file:
 each step reads input registers, calls its kernel, and writes one output
@@ -6,18 +6,14 @@ register.  No autograd graph is built; every array is a plain
 ``np.ndarray`` and parameters were frozen (and pre-transformed) at
 compile time.
 
-Two executor-level upgrades ride on that IR (see
-:mod:`repro.engine.memplan` and :mod:`repro.engine.pool`):
-
-* a **memory plan** — registers are assigned liveness-disjoint arena
-  slots at compile time and kernels route their temporaries through a
-  per-run arena, so steady-state inference allocates nothing;
-* a **step scheduler** — under ``threads > 1``, a row-independent step
-  is split into one contiguous batch chunk per worker lane (for
-  Winograd steps, exactly a block of input tiles), each lane writing
-  its chunk straight into the planned output buffer.  It is the only
-  thing that ever splits a step, and it never splits on the
-  ``reference`` backend.
+The executor walks the steps in order on the calling thread, every step
+over the whole batch.  A **memory plan** (see :mod:`repro.engine.memplan`)
+assigns registers liveness-disjoint arena slots at compile time, and
+kernels route their temporaries through a per-run arena, so
+steady-state inference allocates nothing.  Concurrent runs of one shared
+plan each check out their own arena; parallelism across cores comes
+from worker processes (``repro serve --workers``), not from the
+executor.
 """
 
 from __future__ import annotations
@@ -29,34 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine import memplan
-from repro.engine.pool import resolve_threads, run_tasks
 from repro.obs import trace as obs_trace
-
-#: Ops that are row-independent along the batch axis (every input and the
-#: output carry the batch on axis 0), so the executor may split a step
-#: into sub-batches without changing per-sample results.
-_CHUNKABLE_OPS = frozenset(
-    {
-        "add",
-        "affine",
-        "avg_pool",
-        "concat",
-        "conv2d",
-        "flatten",
-        "global_avg_pool",
-        "linear",
-        "max_pool",
-        "relu",
-        "transpose",
-        "winograd_conv2d",
-    }
-)
-
-#: Steps whose whole-batch inputs are smaller than this are not worth
-#: fanning out across threads: the per-task dispatch would cost more
-#: than the kernel.
-MIN_PARALLEL_BYTES = 1 << 14
-
 
 @dataclass
 class Step:
@@ -79,51 +48,14 @@ class Step:
         return f"Step({self.op}{label}: r{self.inputs} -> r{self.output})"
 
 
-def _has_cold_observer(step: Step) -> bool:
-    """True if a fake-quant stage of ``step`` has not frozen its range
-    yet.  Such a stage takes its scale from the first array it sees,
-    so the step must see the *whole* batch, not a chunk — otherwise
-    the frozen scale (and every later result) would depend on the
-    thread count."""
-    return any(
-        isinstance(v, dict) and "dynamic_bits" in v and "scale" not in v
-        for v in step.attrs.values()
-    )
-
-
-def _chunk_rows(
-    step: Step, args: Tuple[np.ndarray, ...], n: int, nthreads: int
-) -> int:
-    """Batch rows per lane for ``step`` (``n``: run it whole).
-
-    A step is split only when there is more than one lane and its
-    inputs are big enough to pay for the dispatch; it then gets one
-    contiguous chunk of ``ceil(n / nthreads)`` rows per lane.  Both
-    executor loops call this, so the traced run walks exactly the
-    untraced schedule."""
-    if (
-        nthreads <= 1
-        or n <= 1
-        or step.op not in _CHUNKABLE_OPS
-        or any(a.shape[0] != n for a in args)
-        or _has_cold_observer(step)
-        or sum(a.nbytes for a in args) < MIN_PARALLEL_BYTES
-    ):
-        return n
-    return -(-n // nthreads)
-
-
 class CompiledPlan:
     """A flat, autograd-free inference program.
 
     Built by :func:`repro.engine.compile.compile_model`; run with
     :meth:`run` on one NCHW batch.
 
-    The per-call ``threads`` argument (> ``REPRO_THREADS`` > 1) controls
-    the step scheduler; the ``reference`` backend, the bit-exactness
-    oracle, always runs on one lane, because BLAS may round a GEMM over
-    a sub-batch differently at the last ulp.  ``planning`` (default on)
-    controls the arena executor.
+    ``planning`` (on for every backend but ``reference``) controls the
+    arena executor.
     """
 
     def __init__(
@@ -190,125 +122,42 @@ class CompiledPlan:
         return self
 
     # -- execution ------------------------------------------------------------
-    @staticmethod
-    def _materialize(part: np.ndarray, arena) -> np.ndarray:
-        """A chunk result that must outlive its lane's scratch buffers."""
-        if arena is not None and arena.owns(part):
-            return part.copy()
-        return part
-
-    def _run_split(
-        self,
-        step: Step,
-        args: Tuple[np.ndarray, ...],
-        n: int,
-        chunk: int,
-        arena,
-        step_index: int,
-        out_view: Optional[np.ndarray],
-        tracer: Optional["obs_trace.TraceBuffer"] = None,
-        parent_id: Optional[str] = None,
-    ) -> np.ndarray:
-        """Execute one row-independent step as contiguous batch chunks of
-        ``chunk`` rows, one chunk per worker lane.
-
-        Every chunkable kernel computes each batch row independently
-        (GEMM rows, elementwise ops), so splitting preserves per-sample
-        results — exactly for native int8 steps, and to float tolerance
-        for the fast backend's fused GEMMs (BLAS may block a different M
-        differently at the last ulp).  The same property makes
-        serving-time dynamic micro-batching transparent.  For Winograd
-        steps a batch chunk is exactly a block of input tiles, so the
-        lanes partition the tile GEMMs.
-        """
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        parts: List[Optional[np.ndarray]] = [None] * len(bounds)
-        span_name = step.label or step.op
-
-        def work(lane: int) -> None:
-            lo, hi = bounds[lane]
-            sub = tuple(a[lo:hi] for a in args)
-            out = out_view[lo:hi] if out_view is not None else None
-            t0 = obs_trace.now_ns() if tracer is not None else 0
-            prev = memplan.bind_step(arena, step_index, lane, out)
-            try:
-                part = step.fn(sub, step.attrs)
-            finally:
-                memplan.unbind_step(prev)
-            if tracer is not None:
-                tracer.record(
-                    f"{span_name}[{lo}:{hi}]",
-                    "kernel",
-                    t0,
-                    attrs={
-                        "step": step_index,
-                        "op": step.op,
-                        "chunk_index": lane,
-                        "rows": [lo, hi],
-                    },
-                    parent_id=parent_id,
-                    lane=lane,
-                )
-            if out is not None and part is not out:
-                if out.shape == part.shape:
-                    out[...] = part
-                else:  # planned shape diverged: fall back to collect
-                    parts[lane] = self._materialize(part, arena)
-            elif out is None:
-                parts[lane] = self._materialize(part, arena)
-
-        run_tasks(
-            [(lambda lane=lane: work(lane)) for lane in range(len(bounds))],
-            len(bounds),
-        )
-        if out_view is not None:
-            if all(p is None for p in parts):
-                return out_view
-            # Mixed: some chunks diverged from the planned shape (their
-            # results are in `parts`), the rest landed in out_view — the
-            # planned buffer cannot hold the true result, so assemble a
-            # fresh one from both sources.
-            merged = [
-                part if part is not None else out_view[lo:hi]
-                for (lo, hi), part in zip(bounds, parts)
-            ]
-            return np.concatenate(merged, axis=0)
-        return np.concatenate(parts, axis=0)
-
     def run(
         self,
         x: np.ndarray,
-        threads: Optional[int] = None,
+        threads: int = 1,
         trace: Optional["obs_trace.TraceBuffer"] = None,
     ) -> np.ndarray:
         """Execute the plan on one input batch (NCHW ``np.ndarray``).
 
-        ``threads`` overrides the ``REPRO_THREADS`` default for this call;
-        0 means "all cores".  The ``reference`` backend ignores it and
-        runs every step whole, so threaded ≡ serial there by
-        construction.  ``trace`` records one span per step
-        into the given :class:`repro.obs.TraceBuffer` (``None`` falls
-        back to the ambient ``REPRO_TRACE`` tracer; tracing never changes
-        results — the instrumented path executes the identical step
-        schedule).  With tracing disabled this is a single ``is None``
-        branch in front of the untouched hot loop.
+        ``trace`` records one span per step into the given
+        :class:`repro.obs.TraceBuffer` (``None`` falls back to the ambient
+        ``REPRO_TRACE`` tracer; tracing never changes results — the
+        instrumented loop walks the same steps with the same arena
+        bindings).  With tracing disabled this is a single ``is None``
+        branch in front of the untouched hot loop.  ``threads`` accepts
+        only ``1``: the executor runs every step whole, on the calling
+        thread.
         """
+        if threads != 1:
+            raise ValueError(
+                f"threads={threads!r}: the executor runs on one thread; "
+                "scale across cores with worker processes instead"
+            )
         tracer = trace if trace is not None else obs_trace.active_tracer()
         if tracer is not None:
-            return self._run_traced(x, threads, tracer)
-        return self._run_untraced(x, threads)
+            return self._run_traced(x, tracer)
+        return self._run_untraced(x)
 
-    def _run_untraced(
-        self, x: np.ndarray, threads: Optional[int] = None
-    ) -> np.ndarray:
+    def _run_untraced(self, x: np.ndarray) -> np.ndarray:
         """The pristine executor loop (no instrumentation on this path;
         ``repro bench engine`` measures it against :meth:`run` to pin the
         tracing-disabled overhead ≤ 1%)."""
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         n = x.shape[0]
-        nthreads = 1 if self.backend == "reference" else resolve_threads(threads)
         pool = self._memory(x.shape[1:])
         arena = pool.checkout() if pool is not None else None
+        prev = memplan.activate(arena)
         try:
             if arena is not None:
                 arena.begin_run(n)
@@ -316,18 +165,9 @@ class CompiledPlan:
             regs[self.input_reg] = x
             for step_index, step in enumerate(self.steps):
                 args = tuple(regs[i] for i in step.inputs)
-                chunk = _chunk_rows(step, args, n, nthreads)
-                out_view = arena.reg_view(step.output) if arena is not None else None
-                if chunk < n:
-                    regs[step.output] = self._run_split(
-                        step, args, n, chunk, arena, step_index, out_view
-                    )
-                else:
-                    prev = memplan.bind_step(arena, step_index, 0, out_view)
-                    try:
-                        regs[step.output] = step.fn(args, step.attrs)
-                    finally:
-                        memplan.unbind_step(prev)
+                if arena is not None:
+                    arena.enter_step(step_index, step.output)
+                regs[step.output] = step.fn(args, step.attrs)
                 for reg in step.frees:
                     if reg != step.output:
                         regs[reg] = None
@@ -339,25 +179,22 @@ class CompiledPlan:
                 out = out.copy()
             return out
         finally:
+            memplan.activate(prev)
             if arena is not None:
                 pool.checkin(arena)
 
     def _run_traced(
-        self,
-        x: np.ndarray,
-        threads: Optional[int],
-        tracer: "obs_trace.TraceBuffer",
+        self, x: np.ndarray, tracer: "obs_trace.TraceBuffer"
     ) -> np.ndarray:
-        """The instrumented twin of :meth:`_run_untraced`: the same step
-        schedule (chunk sizes, lane counts, arena bindings) with one
-        ``kernel`` span per step, per-chunk child spans under the thread
-        scheduler, and a ``plan_run`` root span.  Kept as a separate loop
-        so the untraced path carries zero per-step branches."""
+        """The instrumented twin of :meth:`_run_untraced`: the same steps
+        and arena bindings with one ``kernel`` span per step and a
+        ``plan_run`` root span.  Kept as a separate loop so the untraced
+        path carries zero per-step tracing branches."""
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         n = x.shape[0]
-        nthreads = 1 if self.backend == "reference" else resolve_threads(threads)
         pool = self._memory(x.shape[1:])
         arena = pool.checkout() if pool is not None else None
+        prev = memplan.activate(arena)
         root_id = obs_trace.new_span_id()
         t_run = obs_trace.now_ns()
         try:
@@ -367,30 +204,11 @@ class CompiledPlan:
             regs[self.input_reg] = x
             for step_index, step in enumerate(self.steps):
                 args = tuple(regs[i] for i in step.inputs)
-                chunk = _chunk_rows(step, args, n, nthreads)
-                out_view = arena.reg_view(step.output) if arena is not None else None
-                step_span_id = obs_trace.new_span_id()
+                out_view = None
+                if arena is not None:
+                    out_view = arena.enter_step(step_index, step.output)
                 t_step = obs_trace.now_ns()
-                if chunk < n:
-                    regs[step.output] = self._run_split(
-                        step,
-                        args,
-                        n,
-                        chunk,
-                        arena,
-                        step_index,
-                        out_view,
-                        tracer=tracer,
-                        parent_id=step_span_id,
-                    )
-                else:
-                    prev = memplan.bind_step(arena, step_index, 0, out_view)
-                    try:
-                        regs[step.output] = step.fn(args, step.attrs)
-                    finally:
-                        memplan.unbind_step(prev)
-                result = regs[step.output]
-                n_chunks = -(-n // chunk) if chunk < n else 1
+                result = regs[step.output] = step.fn(args, step.attrs)
                 if step.domain == "int8":
                     domain = (
                         "int8-wino" if step.op == "winograd_conv2d" else "int8"
@@ -409,15 +227,11 @@ class CompiledPlan:
                         "backend": self.backend,
                         "domain": domain,
                         "batch": n,
-                        "chunk": chunk,
-                        "chunks": n_chunks,
-                        "lanes": n_chunks,
                         "out_bytes": int(result.nbytes),
                         "slot_bytes": (
                             int(out_view.nbytes) if out_view is not None else None
                         ),
                     },
-                    span_id=step_span_id,
                     parent_id=root_id,
                 )
                 for reg in step.frees:
@@ -438,10 +252,10 @@ class CompiledPlan:
                     "source": self.source,
                     "batch": n,
                     "steps": len(self.steps),
-                    "threads": nthreads,
                 },
                 span_id=root_id,
             )
+            memplan.activate(prev)
             if arena is not None:
                 pool.checkin(arena)
 

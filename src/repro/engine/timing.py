@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from statistics import median
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -24,18 +24,7 @@ def measure_callable_ms(
 
 
 def measure_plan_ms(
-    plan,
-    x: np.ndarray,
-    repeats: int = 5,
-    warmup: int = 2,
-    threads: Optional[int] = None,
+    plan, x: np.ndarray, repeats: int = 5, warmup: int = 2
 ) -> float:
-    """Median wall-clock of one compiled-plan execution, in ms.
-
-    ``threads`` is forwarded to :meth:`CompiledPlan.run` (``None`` keeps
-    the plan/`REPRO_THREADS` default)."""
-    if threads is None:
-        return measure_callable_ms(plan.run, x, repeats=repeats, warmup=warmup)
-    return measure_callable_ms(
-        lambda: plan.run(x, threads=threads), repeats=repeats, warmup=warmup
-    )
+    """Median wall-clock of one compiled-plan execution, in ms."""
+    return measure_callable_ms(plan.run, x, repeats=repeats, warmup=warmup)

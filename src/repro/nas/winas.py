@@ -58,11 +58,6 @@ class SearchConfig:
     #: latency of the native integer execution path that quantized
     #: candidates would actually be deployed on.
     engine_backend: str = "fast"
-    #: Engine threads the "measured"/"served" probes execute candidates
-    #: with (``None`` → the ``REPRO_THREADS`` default): searching with
-    #: the deployment thread count optimises the latency the parallel
-    #: executor will actually deliver.
-    engine_threads: Optional[int] = None
     #: Worker processes the "served" probe shards candidates across
     #: (mirrors ``repro serve --workers``; 0 = in-process): searching
     #: against the sharded deployment folds the shm/IPC round trip and
@@ -170,16 +165,13 @@ class WiNAS:
             h, w = op.last_input_hw
             if source == "measured":
                 op.set_latencies(
-                    self._measure_candidates(
-                        op, h, w, backend, self.config.engine_threads
-                    )
+                    self._measure_candidates(op, h, w, backend)
                 )
                 continue
             if source == "served":
                 op.set_latencies(
                     self._measure_candidates_served(
                         op, h, w, self.config.served_concurrency, backend,
-                        self.config.engine_threads,
                         self.config.serve_workers,
                     )
                 )
@@ -206,7 +198,6 @@ class WiNAS:
         h: int,
         w: int,
         backend: str = "fast",
-        threads: Optional[int] = None,
     ) -> List[float]:
         """Wall-clock each candidate as a compiled single-layer plan."""
         from repro.engine import compile_model, measure_plan_ms
@@ -215,9 +206,7 @@ class WiNAS:
         latencies = []
         for path in op.paths:
             plan = compile_model(path, backend=backend)
-            latencies.append(
-                measure_plan_ms(plan, x, repeats=3, warmup=1, threads=threads)
-            )
+            latencies.append(measure_plan_ms(plan, x, repeats=3, warmup=1))
         return latencies
 
     @staticmethod
@@ -227,7 +216,6 @@ class WiNAS:
         w: int,
         concurrency: int,
         backend: str = "fast",
-        threads: Optional[int] = None,
         workers: int = 0,
     ) -> List[float]:
         """Per-request latency of each candidate under batched serving load."""
@@ -240,7 +228,6 @@ class WiNAS:
                 compile_model(path, backend=backend),
                 x,
                 concurrency=concurrency,
-                threads=threads,
                 workers=workers,
             )
             for path in op.paths

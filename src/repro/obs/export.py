@@ -8,7 +8,7 @@ The mapping (documented in docs/observability.md):
 * ``pid`` is assigned per distinct ``span.proc`` label ("frontend",
   "worker-0", ...) with an ``"M"`` ``process_name`` metadata event, so
   Perfetto shows one track group per serving process;
-* ``tid`` is the span's ``lane`` (engine thread lane / worker slot),
+* ``tid`` is the span's ``lane`` (a worker slot),
   named via ``thread_name`` metadata;
 * span identity, parentage and request correlation travel in ``args``.
 """

@@ -16,7 +16,7 @@ stays import-cycle-free (``engine.plan`` imports ``repro.obs.trace``).
 from __future__ import annotations
 
 import statistics
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.trace import TraceBuffer
 
@@ -26,13 +26,12 @@ def profile_plan(
     x,
     repeats: int = 5,
     warmup: int = 1,
-    threads: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Profile one compiled plan on input ``x``.
 
     Returns ``{"backend", "batch", "steps": [...], "step_sum_ms",
     "plan_median_ms", "sum_vs_median_pct", "untraced_ms"}`` where each
-    step row carries ``index/name/op/domain/chunks/lanes/ms/pct/
+    step row carries ``index/name/op/domain/ms/pct/
     out_kib/slot_kib``.  ``step_sum_ms`` is the median over runs of each
     run's step-time sum and ``plan_median_ms`` the median ``plan_run``
     total, so their delta is the dispatch overhead the step spans do not
@@ -41,20 +40,20 @@ def profile_plan(
     from repro.engine.timing import measure_plan_ms
 
     for _ in range(max(0, warmup)):
-        plan.run(x, threads=threads)
+        plan.run(x)
 
     per_step: Dict[int, Dict[str, Any]] = {}
     totals: List[float] = []
     run_sums: List[float] = []
     for _ in range(max(1, repeats)):
         buf = TraceBuffer()
-        plan.run(x, threads=threads, trace=buf)
+        plan.run(x, trace=buf)
         run_sum = 0.0
         for span in buf.snapshot():
             if span.cat == "engine" and span.name == "plan_run":
                 totals.append(span.dur_ns / 1e6)
                 continue
-            if span.cat != "kernel" or "chunk_index" in span.attrs:
+            if span.cat != "kernel":
                 continue
             idx = span.attrs["step"]
             row = per_step.setdefault(
@@ -64,8 +63,6 @@ def profile_plan(
                     "name": span.name,
                     "op": span.attrs.get("op"),
                     "domain": span.attrs.get("domain"),
-                    "chunks": span.attrs.get("chunks", 1),
-                    "lanes": span.attrs.get("lanes", 1),
                     "out_kib": (span.attrs.get("out_bytes") or 0) / 1024.0,
                     "slot_kib": (
                         None
@@ -90,9 +87,7 @@ def profile_plan(
         r["pct"] = 100.0 * r["ms"] / table_sum if table_sum > 0 else 0.0
 
     plan_median = statistics.median(totals) if totals else 0.0
-    untraced_ms = measure_plan_ms(
-        plan, x, repeats=max(3, repeats), warmup=1, threads=threads
-    )
+    untraced_ms = measure_plan_ms(plan, x, repeats=max(3, repeats), warmup=1)
     return {
         "backend": getattr(plan, "backend", "?"),
         "batch": int(x.shape[0]),
@@ -110,19 +105,16 @@ def format_profile_table(prof: Dict[str, Any]) -> str:
     """Fixed-width per-step table plus the sum-vs-median footer."""
     lines = []
     header = (
-        f"{'#':>3}  {'step':<38} {'domain':<8} {'chunks':>6} "
+        f"{'#':>3}  {'step':<38} {'domain':<8} "
         f"{'ms':>9} {'%':>6} {'out KiB':>9} {'slot KiB':>9}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for r in prof["steps"]:
         slot = "-" if r["slot_kib"] is None else f"{r['slot_kib']:.0f}"
-        chunks = (
-            f"{r['chunks']}x{r['lanes']}" if r["chunks"] > 1 else "1"
-        )
         lines.append(
             f"{r['index']:>3}  {r['name'][:38]:<38} {str(r['domain']):<8} "
-            f"{chunks:>6} {r['ms']:>9.3f} {r['pct']:>6.1f} "
+            f"{r['ms']:>9.3f} {r['pct']:>6.1f} "
             f"{r['out_kib']:>9.0f} {slot:>9}"
         )
     lines.append("-" * len(header))

@@ -1,7 +1,6 @@
 """Low-overhead span recorder: a thread-safe ring buffer of spans.
 
-The tracing contract mirrors the ``REPRO_THREADS`` ambient pattern in
-:mod:`repro.engine.pool`:
+The tracing contract:
 
 * ``REPRO_TRACE=1`` enables an ambient process-wide :class:`TraceBuffer`
   at import time; ``enable()``/``disable()`` flip it programmatically.
@@ -16,7 +15,8 @@ The tracing contract mirrors the ``REPRO_THREADS`` ambient pattern in
 A span is ``(name, category, start_ns, dur_ns, attrs)`` plus identity:
 a process-unique ``span_id``, an optional ``parent_id`` (tree edges), an
 optional ``request_id`` (serving correlation), and ``proc``/``lane``
-used by the Chrome exporter as pid/tid.
+used by the Chrome exporter as pid/tid (``lane`` is a worker slot; the
+engine executor runs on one thread and always records lane 0).
 """
 
 from __future__ import annotations

@@ -154,7 +154,6 @@ class DynamicBatcher:
         metrics: Optional[ModelMetrics] = None,
         name: str = "",
         max_inflight: int = 2,
-        threads: Optional[int] = None,
         tracer: Optional["obs_trace.TraceBuffer"] = None,
     ):
         self.plan = plan
@@ -169,12 +168,6 @@ class DynamicBatcher:
         # Duck-typed plans (test stubs) may not accept run(trace=...);
         # detect once so traced batches degrade gracefully.
         self._plan_traceable = self._accepts_trace(plan)
-        #: Engine threads per coalesced batch: each dispatched batch fans
-        #: its chunkable steps out across the engine worker pool, so one
-        #: big batch exploits the cores that batch-level pipelining
-        #: (max_inflight) alone would leave idle.  ``None`` keeps the
-        #: plan/REPRO_THREADS default.
-        self.threads = threads
         self._executor = executor
         self._owns_executor = executor is None
         self._queue: Optional[asyncio.PriorityQueue] = None
@@ -493,13 +486,10 @@ class DynamicBatcher:
             )
             local_spans = obs_trace.TraceBuffer(8192) if traced else None
             try:
-                kwargs = {}
-                if self.threads is not None:
-                    kwargs["threads"] = self.threads
                 if local_spans is not None and self._plan_traceable:
-                    kwargs["trace"] = local_spans
-                if kwargs:
-                    run = functools.partial(self.plan.run, stacked, **kwargs)
+                    run = functools.partial(
+                        self.plan.run, stacked, trace=local_spans
+                    )
                 else:  # duck-typed plans (test stubs) need no extra kwargs
                     run = functools.partial(self.plan.run, stacked)
                 out = await loop.run_in_executor(self._executor, run)
@@ -620,6 +610,6 @@ class DynamicBatcher:
                 # Step-level kernel spans feed the sampled per-step
                 # histograms on /metrics; the step index disambiguates
                 # layers that share a kernel label (three `linear`s).
-                if span.cat == "kernel" and "chunk_index" not in span.attrs:
+                if span.cat == "kernel":
                     label = f"{span.attrs.get('step', '?')}:{span.name}"
                     self.metrics.observe_step(label, span.dur_ns / 1e6)

@@ -26,15 +26,13 @@ def served_latency_ms(
     concurrency: int = 8,
     requests_per_client: int = 4,
     policy: Optional[BatchPolicy] = None,
-    threads: Optional[int] = None,
     workers: int = 0,
 ) -> float:
     """Mean per-request latency (ms) of ``plan`` under concurrent load.
 
     ``x`` is one sample ``(1, C, H, W)``.  Must be called from a thread
-    with no running event loop (it owns a private one).  ``threads``
-    sets the engine threads per dispatched batch, mirroring a server
-    started with ``--threads``; ``workers`` mirrors ``--workers``:
+    with no running event loop (it owns a private one).  ``workers``
+    mirrors ``repro serve --workers``:
     batches then execute in forked worker processes (the plan object is
     inherited through fork — no registry round trip), so the probe sees
     the per-request latency of the *sharded* deployment, IPC included.
@@ -59,14 +57,13 @@ def served_latency_ms(
             workers=workers,
             replicas=workers,  # one candidate: use every worker
             max_batch_size=policy.max_batch_size,
-            threads=threads,
             plans={"probe": plan},
         ).start()
         run_plan = WorkerPlanProxy(router, "probe")
 
     async def main() -> float:
         batcher = DynamicBatcher(
-            run_plan, policy=policy, name="probe", threads=threads,
+            run_plan, policy=policy, name="probe",
             max_inflight=max(2, workers or 1),
         )
         await batcher.start()

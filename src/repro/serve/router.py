@@ -93,7 +93,6 @@ class _WorkerHandle:
         plans: Optional[dict],
         slot_bytes: int,
         num_slots: int,
-        threads: Optional[int],
         ctx,
         artifacts: Optional[Dict[str, str]] = None,
         reply_timeout: float = 120.0,
@@ -113,7 +112,7 @@ class _WorkerHandle:
         #: timeouts here, hang-probe kills in the monitor).
         self.on_watchdog_kill = None
         self.shm, self.conn, self.process = spawn_worker(
-            ctx, worker_id, spec_names, plans, slot_bytes, num_slots, threads,
+            ctx, worker_id, spec_names, plans, slot_bytes, num_slots,
             artifacts, chaos, chaos_generation,
         )
         self._send_lock = threading.Lock()
@@ -262,7 +261,6 @@ class _WorkerHandle:
         self,
         model: str,
         x: np.ndarray,
-        threads: Optional[int] = None,
         slot_timeout: float = 120.0,
         trace_into=None,
     ) -> np.ndarray:
@@ -298,8 +296,7 @@ class _WorkerHandle:
             req_id = self._next_req_id()
             waiter = _Waiter()
             self._post(
-                ("run", req_id, model, slot, x.shape, threads, inline,
-                 traced),
+                ("run", req_id, model, slot, x.shape, inline, traced),
                 waiter, req_id,
             )
             if not waiter.event.wait(self.reply_timeout):
@@ -478,7 +475,6 @@ class WorkerRouter:
         max_batch_size: int = 8,
         num_slots: int = DEFAULT_SLOTS,
         slot_bytes: Optional[int] = None,
-        threads: Optional[int] = None,
         plans: Optional[dict] = None,
         health_interval: Optional[float] = 2.0,
         hang_timeout: float = 60.0,
@@ -509,7 +505,6 @@ class WorkerRouter:
         #: models absent here use the pool-wide ``replicas`` default.
         self._replica_overrides: Dict[str, int] = {}
         self.model_names = list(model_names)
-        self.threads = threads
         self.num_slots = num_slots
         self.slot_bytes = slot_bytes or required_slot_bytes(
             sample_shapes, max_batch_size
@@ -647,7 +642,6 @@ class WorkerRouter:
             self._plans,
             self.slot_bytes,
             self.num_slots,
-            self.threads,
             self._ctx,
             artifacts=artifacts,
             reply_timeout=self.reply_timeout,
@@ -770,7 +764,6 @@ class WorkerRouter:
         self,
         model: str,
         x: np.ndarray,
-        threads: Optional[int] = None,
         trace_into=None,
     ) -> np.ndarray:
         """Route one batch; retries on worker death, never on model error.
@@ -788,9 +781,7 @@ class WorkerRouter:
                 time.sleep(0.05 * attempt)  # brief backoff between losses
             handle = self._pick(model)
             try:
-                return handle.run(
-                    model, x, threads=threads, trace_into=trace_into
-                )
+                return handle.run(model, x, trace_into=trace_into)
             except TransportCorrupt as exc:
                 # The worker is fine — only the payload in flight was
                 # damaged.  Retry without killing anything.
@@ -968,7 +959,7 @@ class WorkerPlanProxy:
     """Duck-typed stand-in for ``CompiledPlan`` that executes remotely.
 
     The :class:`~repro.serve.batcher.DynamicBatcher` only calls
-    ``plan.run(batch[, threads=])`` from its executor thread; this proxy
+    ``plan.run(batch[, trace=])`` from its executor thread; this proxy
     forwards that call to the router (which blocks until a worker
     answers), so the whole batching/deadline/backpressure layer works
     unchanged on top of process workers.
@@ -978,12 +969,5 @@ class WorkerPlanProxy:
         self.router = router
         self.model = model
 
-    def run(
-        self,
-        x: np.ndarray,
-        threads: Optional[int] = None,
-        trace=None,
-    ) -> np.ndarray:
-        return self.router.submit(
-            self.model, x, threads=threads, trace_into=trace
-        )
+    def run(self, x: np.ndarray, trace=None) -> np.ndarray:
+        return self.router.submit(self.model, x, trace_into=trace)

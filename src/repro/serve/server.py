@@ -150,7 +150,6 @@ class InferenceServer:
         workers: int = 0,
         metrics: Optional[ServerMetrics] = None,
         cache: Optional[PlanCache] = None,
-        threads: Optional[int] = None,
         executor_threads: Optional[int] = None,
         worker_replicas: Optional[int] = None,
         worker_health_interval: Optional[float] = 2.0,
@@ -206,12 +205,6 @@ class InferenceServer:
         self._draining = False
         self.metrics = metrics or ServerMetrics()
         self.cache = cache if cache is not None else plan_cache
-        #: Engine threads per dispatched batch (``repro serve --threads``,
-        #: default the REPRO_THREADS environment setting): batches fan
-        #: their chunkable steps out across the shared engine pool, so
-        #: cores are used even when one model carries all the traffic.
-        #: With process workers this is forwarded to each worker's runs.
-        self.threads = threads
         #: Threads that push batches off the event loop.  In worker mode
         #: each of these blocks on a worker round-trip, so the pool must
         #: cover every in-flight batch across all models.
@@ -261,7 +254,6 @@ class InferenceServer:
                 workers=self.workers,
                 replicas=self.worker_replicas,
                 max_batch_size=self.policy.max_batch_size,
-                threads=self.threads,
                 health_interval=self.worker_health_interval,
                 artifacts=self.registry.artifact_paths(),
                 reply_timeout=self.worker_reply_timeout,
@@ -423,7 +415,6 @@ class InferenceServer:
             metrics=self.metrics.for_model(name),
             name=name,
             max_inflight=max_inflight,
-            threads=self.threads,
             tracer=self.trace_buffer,
         )
         await batcher.start()
@@ -1176,7 +1167,6 @@ class InferenceServer:
             snap = self.metrics.snapshot(plan_cache_stats=self.cache.stats())
             snap["policy"] = self.policy.to_dict()
             snap["workers"] = self.workers
-            snap["engine_threads"] = self.threads
             snap["plan_memory"] = self.cache.memory_stats()
             snap["trace"] = self._trace_info()
             snap["admission"] = self.admission.snapshot()
@@ -1664,7 +1654,6 @@ def start_in_background(
     host: str = "127.0.0.1",
     port: int = 0,
     workers: int = 0,
-    threads: Optional[int] = None,
     executor_threads: Optional[int] = None,
     worker_replicas: Optional[int] = None,
     worker_health_interval: Optional[float] = 2.0,
@@ -1686,7 +1675,7 @@ def start_in_background(
     """
     server = InferenceServer(
         registry, policy=policy, host=host, port=port, workers=workers,
-        threads=threads, executor_threads=executor_threads,
+        executor_threads=executor_threads,
         worker_replicas=worker_replicas,
         worker_health_interval=worker_health_interval,
         trace_rate=trace_rate, admission=admission, chaos=chaos,

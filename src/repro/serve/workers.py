@@ -3,9 +3,8 @@
 A worker is a **forked** child process that owns its entire inference
 stack: its own :class:`~repro.serve.registry.ModelRegistry`, its own
 :class:`~repro.engine.cache.PlanCache`, and its own arena pools (the
-fork-safety guards in :mod:`repro.engine.memplan` / :mod:`repro.engine.pool`
-guarantee it inherits neither parent arenas nor the parent's thread
-pool).  The GIL therefore stops mattering across workers: tile
+fork-safety guard in :mod:`repro.engine.memplan` guarantees it inherits
+no parent arenas).  The GIL therefore stops mattering across workers: tile
 transforms, requant and pooling steps run truly in parallel with the
 front-end's HTTP handling and with every other worker.
 
@@ -42,7 +41,7 @@ registration (the parent's) and unlink happens exactly once, at
 
 Protocol (pipe messages, parent → worker)::
 
-    ("run",  req_id, model, slot, shape, threads, inline|None, trace)
+    ("run",  req_id, model, slot, shape, inline|None, trace)
     ("ping", req_id)
     ("load", req_id, key, artifact_path)      mmap a compiled-plan artifact
     ("unload", req_id, key)                   retire a served plan key
@@ -109,24 +108,18 @@ def slot_view(shm, slot: int, slot_bytes: int, shape, dtype=np.float32) -> np.nd
                       offset=slot * slot_bytes)
 
 
-def _run_plan(
-    plan, x: np.ndarray, threads: Optional[int], trace=None
-) -> np.ndarray:
-    kwargs = {}
-    if threads is not None:
-        kwargs["threads"] = threads
+def _run_plan(plan, x: np.ndarray, trace=None) -> np.ndarray:
     if trace is not None:
         # Only the traced path pays the signature check (duck-typed stub
-        # plans in the tests accept neither kwarg).
+        # plans in the tests do not accept the kwarg).
         import inspect
 
         try:
-            if "trace" in inspect.signature(plan.run).parameters:
-                kwargs["trace"] = trace
+            traceable = "trace" in inspect.signature(plan.run).parameters
         except (TypeError, ValueError):
-            pass
-    if kwargs:
-        return plan.run(x, **kwargs)
+            traceable = False
+        if traceable:
+            return plan.run(x, trace=trace)
     return plan.run(x)  # duck-typed plans need no extra kwargs
 
 
@@ -138,7 +131,6 @@ def worker_main(
     num_slots: int,
     spec_names: Sequence[str],
     plans: Optional[Dict[str, object]],
-    threads: Optional[int],
     artifacts: Optional[Dict[str, str]] = None,
     chaos: Optional[str] = None,
     chaos_generation: int = 0,
@@ -271,8 +263,8 @@ def worker_main(
             artifacts.pop(key, None)
             conn.send(("loaded", req_id, 0.0, None))
             continue
-        # ("run", req_id, model, slot, shape, threads, inline, trace)
-        _, req_id, model, slot, shape, req_threads, inline, want_trace = msg
+        # ("run", req_id, model, slot, shape, inline, trace)
+        _, req_id, model, slot, shape, inline, want_trace = msg
         if injector is not None:
             # Pre-execution faults: the batch is *lost*, not half-run —
             # the parent's reply timeout / reader EOF turns either into
@@ -321,12 +313,7 @@ def worker_main(
                 exec_id = new_span_id()
                 t0_ns = now_ns()
             t0 = time.perf_counter()
-            out = _run_plan(
-                plan,
-                x,
-                req_threads if req_threads is not None else threads,
-                trace=buf,
-            )
+            out = _run_plan(plan, x, trace=buf)
             run_ms = (time.perf_counter() - t0) * 1e3
             spans_payload = None
             if buf is not None:
@@ -410,7 +397,6 @@ def spawn_worker(
     plans: Optional[Dict[str, object]],
     slot_bytes: int,
     num_slots: int,
-    threads: Optional[int],
     artifacts: Optional[Dict[str, str]] = None,
     chaos: Optional[str] = None,
     chaos_generation: int = 0,
@@ -427,8 +413,7 @@ def spawn_worker(
     process = ctx.Process(
         target=worker_main,
         args=(worker_id, child_conn, shm, slot_bytes, num_slots,
-              list(spec_names), plans, threads, artifacts, chaos,
-              chaos_generation),
+              list(spec_names), plans, artifacts, chaos, chaos_generation),
         daemon=True,
         name=f"repro-serve-worker-{worker_id}",
     )

@@ -1,8 +1,8 @@
 """Randomized differential-testing support (ISSUE 5).
 
 The engine now exposes a product of execution modes — ``reference`` /
-``fast`` / ``int8`` backends × thread counts × arena
-planning — and hand-written parity tests cannot cover
+``fast`` / ``int8`` backends × arena planning × artifact
+round trips — and hand-written parity tests cannot cover
 that space.  This package generates *seeded random models* spanning the
 paper's search dimensions (conv algorithm F(m, r) vs im2row, widths,
 precisions, residual/concat topologies) and checks every mode against
@@ -14,7 +14,7 @@ its documented contract:
   check for quantization-grid flips;
 * :mod:`repro.testing.diffcheck` — one entry point,
   :func:`~repro.testing.diffcheck.check_model`, that runs a generated
-  model through all backend × threads combinations and
+  model through every backend (and an artifact round trip) and
   asserts each equivalence, with the seed in every failure message.
 
 Used by ``tests/engine/test_differential_fuzz.py`` (fixed 25-case

@@ -9,29 +9,21 @@ random model):
 mode                                  contract
 ====================================  =====================================
 ``reference``                         bitwise equal to the eager forward
-``reference`` threaded                bitwise equal to serial (by
-                                      construction: the oracle backend
-                                      never splits a step)
-``fast`` (+ threaded vs serial)       fp32: within 1e-3 of the output
+``fast``                              fp32: within 1e-3 of the output
                                       scale (Winograd reassociation);
                                       quantized: within 1e-4 of scale OR
                                       a bounded (5%-of-scale) boundary
                                       avalanche with argmax preserved
 ``int8`` (quantized models)           **bit-identical** to the int64-GEMM
-                                      oracle; threaded runs
-                                      bit-identical when the plan is
-                                      fully native (tolerance when float
-                                      fallback GEMM steps remain);
-                                      Winograd-stem grid flips vs
+                                      oracle; Winograd-stem grid flips vs
                                       reference must be bin-boundary
                                       justified
 ====================================  =====================================
 
-The threaded legs run a larger batch (:data:`SPLIT_BATCH`) so the thread
-scheduler actually splits most steps; the report counts those splits.
-Every assertion message carries the seed and the generated model's
-description, so any corpus failure reproduces with
-``generate_model(seed)`` alone.
+The ``reference`` and ``int8`` plans are also saved and mmap-loaded, and
+the loaded plan must reproduce the compiled plan's output bitwise.  Every assertion
+message carries the seed and the generated model's description, so any
+corpus failure reproduces with ``generate_model(seed)`` alone.
 
 Standalone usage (the CI quick lane runs the pytest corpus instead)::
 
@@ -49,14 +41,8 @@ import numpy as np
 from repro.autograd import Tensor, no_grad
 from repro.engine import compile_model
 from repro.engine.artifact import load_plan, save_plan
-from repro.obs.trace import TraceBuffer
 from repro.testing.modelgen import GeneratedModel, generate_model
 from repro.testing.oracle import int8_oracle_output, winograd_stem_flip_report
-
-#: Batch of the threaded legs: large enough that the tiny corpus models'
-#: steps clear the scheduler's minimum split size.
-SPLIT_BATCH = 16
-
 
 def _msg(gm: GeneratedModel, what: str) -> str:
     return f"seed={gm.seed} [{gm.description}]: {what}"
@@ -99,15 +85,6 @@ def _assert_fast_tolerance(gm, got, expected, what):
         )
 
 
-def _threaded_run(plan, x, threads):
-    """Traced ``plan.run(x, threads=threads)``: the output and how many
-    steps the thread scheduler split (the ``chunks`` span attribute)."""
-    buf = TraceBuffer()
-    out = plan.run(x, threads=threads, trace=buf)
-    split = sum(1 for span in buf.snapshot() if span.attrs.get("chunks", 1) > 1)
-    return out, split
-
-
 def _roundtrip_plan(plan, x):
     """Save → mmap-load → run; returns the loaded plan's output.
 
@@ -126,24 +103,21 @@ def _roundtrip_plan(plan, x):
         os.unlink(path)
 
 
-def check_model(seed: int, threads: int = 4) -> dict:
+def check_model(seed: int) -> dict:
     """Generate the model for ``seed`` and assert every mode contract.
 
     Returns a small report dict (backends run, native-int8 step counts,
-    steps split by the thread scheduler, Winograd-stem flip audit
-    results) so corpus-level tests can assert the corpus actually
-    exercised each dimension.
+    Winograd-stem flip audit results) so corpus-level tests can assert
+    the corpus actually exercised each dimension.
     """
     gm = generate_model(seed)
     x = gm.sample_input()
-    xb = gm.sample_input(batch=SPLIT_BATCH)
     expected = _eager_output(gm, x)
     report = {
         "seed": seed,
         "description": gm.description,
         "precision": gm.precision,
         "has_winograd": gm.has_winograd,
-        "split_steps": 0,
         "stem_audit": None,
     }
 
@@ -153,28 +127,16 @@ def check_model(seed: int, threads: int = 4) -> dict:
     np.testing.assert_array_equal(
         reference, expected, err_msg=_msg(gm, "reference must match eager bitwise")
     )
-    threaded, split = _threaded_run(ref_plan, xb, threads)
-    report["split_steps"] += split
-    np.testing.assert_array_equal(
-        threaded, ref_plan.run(xb),
-        err_msg=_msg(gm, "reference threaded run diverged (must be bitwise)"),
-    )
     np.testing.assert_array_equal(
         _roundtrip_plan(ref_plan, x), reference,
         err_msg=_msg(gm, "artifact-loaded reference plan diverged "
                          "(save/mmap-load must be bitwise)"),
     )
 
-    # -- fast: float-tolerance contract, stable under threads ---------------
+    # -- fast: float-tolerance contract -------------------------------------
     fast_plan = compile_model(gm.model, backend="fast")
     fast = fast_plan.run(x)
     _assert_fast_tolerance(gm, fast, expected, "fast backend out of tolerance")
-    threaded, split = _threaded_run(fast_plan, xb, threads)
-    report["split_steps"] += split
-    _assert_fast_tolerance(
-        gm, threaded, fast_plan.run(xb),
-        "fast threaded run out of tolerance vs serial",
-    )
 
     # -- int8: exactness oracle + boundary-justified flips -------------------
     if gm.quantized:
@@ -186,37 +148,12 @@ def check_model(seed: int, threads: int = 4) -> dict:
             err_msg=_msg(gm, "int8 backend not bit-identical to int64 oracle "
                              "(float GEMM not exact — accumulator bound bug?)"),
         )
-        # Integer GEMMs are exact at any blocking, so a fully native plan
-        # is bit-stable under threads; float fallback GEMM steps (e.g. an
-        # unquantized head) reintroduce last-ulp blocking sensitivity, so
-        # those plans get the fast-backend tolerance.
-        float_gemms = [
-            s for s in int8_plan.steps
-            if s.op in ("conv2d", "winograd_conv2d", "linear")
-            and s.domain != "int8"
-        ]
-        threaded, split = _threaded_run(int8_plan, xb, threads)
-        report["split_steps"] += split
-        serial = int8_plan.run(xb)
-        if not float_gemms:
-            np.testing.assert_array_equal(
-                threaded, serial,
-                err_msg=_msg(gm, "fully-native int8 plan not bit-stable "
-                                 "under threaded execution"),
-            )
-        else:
-            _assert_fast_tolerance(
-                gm, threaded, serial,
-                "int8 plan with float fallback steps out of tolerance "
-                "under threaded execution",
-            )
         np.testing.assert_array_equal(
             _roundtrip_plan(int8_plan, x), native,
             err_msg=_msg(gm, "artifact-loaded int8 plan diverged "
                              "(save/mmap-load must be bitwise)"),
         )
         report["native_int8_steps"] = int8_plan.int8_report()["native_int8_steps"]
-        report["float_fallback_gemms"] = len(float_gemms)
         audit = winograd_stem_flip_report(int8_plan, x)
         if audit is not None:
             assert audit["unjustified"] == 0, _msg(
@@ -242,12 +179,11 @@ def main(argv: Optional[list] = None) -> int:  # pragma: no cover - CLI util
 
     parser = argparse.ArgumentParser(description="run differential corpus checks")
     parser.add_argument("--seeds", default="0:25", help="range lo:hi or one seed")
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args(argv)
     lo, _, hi = args.seeds.partition(":")
     seeds = range(int(lo), int(hi)) if hi else [int(lo)]
     for seed in seeds:
-        report = check_model(seed, threads=args.threads)
+        report = check_model(seed)
         audited = report["stem_audit"] is not None
         print(
             f"seed {seed:4d} ok  {report['precision']:5s} "

@@ -86,18 +86,18 @@ class TestRoundTrip:
         assert loaded.signature == plan.signature
         assert len(loaded.steps) == len(plan.steps) == summary["steps"]
 
-    def test_int8_bitwise_including_chunked_threaded(self, tmp_path, int8_case):
+    def test_int8_bitwise_including_batch16(self, tmp_path, int8_case):
         gm, plan = int8_case
         x = gm.sample_input()
         path, _ = _saved(tmp_path, plan, x)
         loaded = load_plan(path)
         expected = plan.run(x)
         np.testing.assert_array_equal(loaded.run(x), expected)
-        # mmap'd weight views are read-only; threaded (chunked) execution
-        # must work on them without copying or mutation.  The sample
-        # batch is too small to split, so use one that is.
+        # mmap'd weight views are read-only; a larger batch (bigger arena
+        # buffers, more GEMM rows) must run on them without copying or
+        # mutation.
         xb = gm.sample_input(batch=16)
-        np.testing.assert_array_equal(loaded.run(xb, threads=4), plan.run(xb))
+        np.testing.assert_array_equal(loaded.run(xb), plan.run(xb))
 
     def test_shared_attr_dicts_keep_identity(self, tmp_path, int8_case):
         # The int8 backend wires integer handoffs by *sharing* dicts

@@ -2,17 +2,17 @@
 
 ISSUE 5's hardening harness: seeded random models (conv/linear/pool/BN/
 ReLU DAGs over widths, F(m, r) tile sizes and precisions — see
-:mod:`repro.testing.modelgen`) are pushed through every backend ×
-threads combination and each mode's documented contract is asserted
+:mod:`repro.testing.modelgen`) are pushed through every backend and
+each mode's documented contract is asserted
 (:mod:`repro.testing.diffcheck`):
 
-* ``reference`` must equal the eager forward **bitwise**, and stay
-  bitwise under the thread scheduler;
+* ``reference`` must equal the eager forward **bitwise**;
 * ``fast`` must stay within its documented float/grid tolerances;
 * ``int8`` outputs must be bit-identical to the exact int64-GEMM oracle
-  (the int8 exactness contract), bit-stable under threads when fully
-  native, and any quantization-bin flip at an auditable Winograd
-  stem must be bin-boundary-justified.
+  (the int8 exactness contract), and any quantization-bin flip at an
+  auditable Winograd stem must be bin-boundary-justified;
+* a ``reference`` or ``int8`` plan loaded from its saved artifact must
+  reproduce the compiled plan's output **bitwise**.
 
 The tier-1 corpus is the **fixed** seed range 0..24 — no randomness at
 collection time, so a CI failure reproduces locally from the seed in the
@@ -22,8 +22,8 @@ A larger corpus runs under ``-m slow``.
 This corpus has already caught three real ulp-level engine bugs during
 its construction: the reference ``avg_pool``/``max_pool`` kernels
 reducing strided views in a different order (and layout) than eager, and
-the reference backend splitting GEMM steps whose BLAS blocking depends
-on the batch extent (the reference backend now never splits a step).
+GEMM steps split into sub-batches whose BLAS blocking depended on the
+batch extent (the executor now runs every step over the whole batch).
 """
 
 import pytest
@@ -63,9 +63,8 @@ def test_generator_is_deterministic():
 def test_corpus_covers_every_dimension():
     """The fixed tier-1 corpus must actually exercise each axis of the
     mode product — precisions, Winograd layers, quantized Winograd stems
-    (the configuration the bin-boundary audit reaches), native int8
-    execution, and steps the thread scheduler actually split — otherwise
-    a green run proves much less than it claims."""
+    (the configuration the bin-boundary audit reaches) and native int8
+    execution — otherwise a green run proves much less than it claims."""
     reports = [check_model(seed) for seed in TIER1_SEEDS]
     seen_precisions = {r["precision"] for r in reports}
     assert seen_precisions == set(PRECISIONS)
@@ -73,6 +72,3 @@ def test_corpus_covers_every_dimension():
     audited = [r for r in reports if r["stem_audit"] is not None]
     assert len(audited) >= 4, "too few quantized-Winograd-stem audits in corpus"
     assert sum(r.get("native_int8_steps", 0) for r in reports) >= 20
-    assert sum(r["split_steps"] for r in reports) >= 150, (
-        "too few thread-split steps: the threaded legs prove little"
-    )

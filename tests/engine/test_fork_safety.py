@@ -1,11 +1,9 @@
 """Fork-safety of the engine's shared mutable state (ISSUE 5).
 
 The multi-process serving workers are forked from a parent that may hold
-arenas checked out (concurrent in-process runs) and a warm engine thread
-pool.  A forked child must inherit **neither**: handing out a parent's
-checked-out arena slot would couple the child to bookkeeping frozen
-mid-flight, and submitting to the inherited (thread-less) executor would
-deadlock the first threaded run.
+arenas checked out (concurrent in-process runs).  A forked child must
+not inherit them: handing out a parent's checked-out arena slot would
+couple the child to bookkeeping frozen mid-flight.
 """
 
 import multiprocessing
@@ -95,27 +93,3 @@ def test_post_fork_orphan_checkin_is_dropped():
     assert orphan not in pool._retained
     assert pool.arenas_built == 0
 
-
-def test_forked_child_threaded_run_does_not_deadlock():
-    """Warm the shared engine thread pool in the parent, fork, and run a
-    threaded plan in the child: without the after-fork executor reset the
-    child would submit to a pool whose threads died with the fork."""
-    plan = _fresh_plan()
-    x = np.zeros((4, 1, 28, 28), dtype=np.float32)
-    plan.run(x, threads=2)  # warms the parent's executor
-
-    ctx = multiprocessing.get_context("fork")
-    parent_conn, child_conn = ctx.Pipe()
-
-    def child(conn):
-        out = plan.run(x, threads=2)
-        conn.send(bool(np.isfinite(out).all()))
-
-    proc = ctx.Process(target=child, args=(child_conn,), daemon=True)
-    proc.start()
-    ok = parent_conn.poll(60)
-    if not ok:  # pragma: no cover - the deadlock this test guards against
-        proc.terminate()
-        pytest.fail("threaded plan run deadlocked in the forked child")
-    assert parent_conn.recv() is True
-    proc.join(10)

@@ -432,17 +432,6 @@ class TestIntegration:
         assert registry.get("affine", "int8") is registry.get("affine", "fast")
         assert registry.get("winograd_conv2d", "int8").__name__ == "winograd_int8"
 
-    def test_chunked_execution_invariance(self, rng):
-        """int8 steps are batch-row independent: execution split into
-        per-thread chunks must reproduce the serial result exactly."""
-        model = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8()))
-        x = rng.standard_normal((6, 3, 32, 32)).astype(np.float32)
-        calibrated(model, x)
-        plan = compile_model(model, backend="int8")
-        full = plan.run(x, threads=1)
-        for threads in (2, 4):
-            np.testing.assert_array_equal(plan.run(x, threads=threads), full)
-
     def test_served_variant_compiles_native(self):
         from repro.serve.registry import ModelRegistry, ModelSpec
 

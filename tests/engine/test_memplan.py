@@ -12,13 +12,17 @@ Contract:
   shows no arena allocations for a run, while the eliminated-allocation
   counter shows the scratch/out requests that hit existing buffers;
 * arena execution is value-neutral: planned and unplanned runs of the
-  same plan produce bit-identical outputs.
+  same plan produce bit-identical outputs;
+* concurrent runs of one shared plan each check out their own arena.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
-from repro.engine import compile_model
+from repro.autograd import Tensor, no_grad
+from repro.engine import compile_model, memplan
 from repro.engine.memplan import Arena, plan_layout
 from repro.engine.plan import Step
 from repro.models.common import ConvSpec
@@ -108,12 +112,12 @@ class TestArena:
         arena.begin_run(2)
         first_allocs = arena.last_run_allocs
         assert first_allocs == len(layout.slot_elems)
-        buf = arena.scratch((0, "rows", 0), (16, 16), np.float32)
-        assert arena.scratch((0, "rows", 0), (16, 16), np.float32) is not None
+        buf = arena.scratch((0, "rows"), (16, 16), np.float32)
+        assert arena.scratch((0, "rows"), (16, 16), np.float32) is not None
         assert arena.last_run_hits == 1  # second request hit the buffer
         assert arena.owns(buf)
         # Same key, smaller shape: still a hit (capacity-based).
-        arena.scratch((0, "rows", 0), (8, 16), np.float32)
+        arena.scratch((0, "rows"), (8, 16), np.float32)
         assert arena.last_run_hits == 2
         # Bigger batch grows the slots exactly once.
         arena.begin_run(4)
@@ -125,10 +129,10 @@ class TestArena:
         layout = plan_layout(_chain_steps(), 0, 4, (4, 8, 8))
         arena = Arena(layout)
         arena.begin_run(1)
-        pad = arena.scratch((1, "xp", 0), (1, 2, 6, 6), np.float32, zero=True)
+        pad = arena.scratch((1, "xp"), (1, 2, 6, 6), np.float32, zero=True)
         assert not pad.any()
         pad[:, :, 1:5, 1:5] = 7.0  # kernel writes the interior only
-        again = arena.scratch((1, "xp", 0), (1, 2, 6, 6), np.float32, zero=True)
+        again = arena.scratch((1, "xp"), (1, 2, 6, 6), np.float32, zero=True)
         assert again[0, 0, 0, 0] == 0.0 and again[0, 0, 2, 2] == 7.0
 
 
@@ -139,8 +143,6 @@ class TestPlannedExecution:
         plan performs zero arena allocations while eliminating dozens."""
         model = resnet18(width_multiplier=0.25, spec=ConvSpec("F4", int8()))
         model.eval()
-        from repro.autograd import Tensor, no_grad
-
         x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
         with no_grad():
             model(Tensor(x))  # calibrate observers
@@ -179,6 +181,75 @@ class TestPlannedExecution:
         snapshot = out_a.copy()
         plan.run(b)  # same arena, different data
         np.testing.assert_array_equal(out_a, snapshot)
+
+    def test_thread_hammer_concurrent_runs_with_arena(self, rng):
+        """Many threads × many runs on one shared plan (the server's
+        dispatch pool does this): every run checks its own arena out of
+        the pool, so results must match the single-run answer bit for
+        bit (fast backend, planned execution)."""
+        x = rng.standard_normal((4, 1, 28, 28)).astype(np.float32)
+        model = lenet(spec=ConvSpec("F2", int8()))
+        model.eval()
+        with no_grad():
+            model(Tensor(x))  # calibrate observers
+        plan = compile_model(model, backend="fast")
+        expected = plan.run(x)
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(10):
+                    np.testing.assert_array_equal(plan.run(x), expected)
+            except Exception as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=hammer) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        assert not any(w.is_alive() for w in workers)
+        assert not errors, errors
+        report = plan.memory_report()
+        assert report["arenas_built"] >= 1
+        assert report["shape_misses"] == 0
+
+    def test_kernel_error_propagates_and_releases_arena(self, rng):
+        """A failing kernel surfaces its exception from ``run``; the run's
+        arena goes back to the pool and the thread's workspace is reset,
+        so the next run (and kernels called outside a run) work."""
+        x = rng.standard_normal((2, 1, 28, 28)).astype(np.float32)
+        model = lenet(spec=ConvSpec("F2"))
+        model.eval()
+        plan = compile_model(model, backend="fast")
+        expected = plan.run(x)
+        broken = plan.steps[0]
+        original = broken.fn
+        broken.fn = lambda inputs, attrs: (_ for _ in ()).throw(RuntimeError("boom"))
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                plan.run(x)
+        finally:
+            broken.fn = original
+        pool = plan._memory(x.shape[1:])
+        assert len(pool._idle) == 1  # checked back in
+        scratch = memplan.take_scratch("t", (2, 2))
+        assert not pool._idle[0].owns(scratch)
+        assert memplan.take_out((2, 2)) is None
+        np.testing.assert_array_equal(plan.run(x), expected)
+        assert plan.memory_report()["arenas_built"] == 1
+
+    @pytest.mark.parametrize("backend", ["reference", "fast", "int8"])
+    def test_threads_argument_accepts_only_one(self, rng, backend):
+        model = lenet(spec=ConvSpec("F2", int8()))
+        model.eval()
+        plan = compile_model(model, backend=backend)
+        x = rng.standard_normal((3, 1, 28, 28)).astype(np.float32)
+        plan.run(x[:1])  # calibration
+        np.testing.assert_array_equal(plan.run(x, threads=1), plan.run(x))
+        for threads in (0, 2):
+            with pytest.raises(ValueError, match="one thread"):
+                plan.run(x, threads=threads)
 
     def test_reference_backend_keeps_legacy_executor(self, rng):
         model = lenet(spec=ConvSpec("F2"))

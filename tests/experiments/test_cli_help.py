@@ -14,7 +14,7 @@ from repro.cli import build_parser, main
 DOCUMENTED_FLAGS = {
     "infer": [
         "--model", "--algorithm", "--quant", "--width", "--batch",
-        "--backend", "--repeats", "--seed", "--threads", "--compare",
+        "--backend", "--repeats", "--seed", "--compare",
         "--describe",
     ],
     "compile": ["-o", "--out", "--seed", "--inspect"],
@@ -26,7 +26,7 @@ DOCUMENTED_FLAGS = {
         "--state-dir", "--ladder", "--autoscale", "--autoscale-min",
         "--autoscale-max", "--circuit-threshold",
     ],
-    "bench": ["--quick", "--seed", "--out", "--threads"],
+    "bench": ["--quick", "--seed", "--out"],
     "loadgen": [
         "--url", "--model", "--concurrency", "--requests", "--deadline-ms",
         "--sweep", "--quick", "--workers", "--workers-scale", "--out",
@@ -34,7 +34,7 @@ DOCUMENTED_FLAGS = {
         "--priority", "--tenant", "--seed", "--overload",
     ],
     "profile": [
-        "--batch", "--repeats", "--seed", "--threads", "--backends", "--out",
+        "--batch", "--repeats", "--seed", "--backends", "--out",
     ],
     "trace": [
         "--url", "--export", "--request-id", "--model", "--workers",
@@ -60,6 +60,18 @@ class TestHelpContracts:
     @pytest.mark.parametrize("command", sorted(DOCUMENTED_FLAGS))
     def test_help_points_at_docs_tree(self, capsys, command):
         assert "docs/" in _help_text(capsys, command)
+
+    @pytest.mark.parametrize("command", ["infer", "profile", "bench"])
+    def test_no_threads_flag(self, capsys, command):
+        assert "--threads" not in _help_text(capsys, command)
+
+    def test_serve_threads_accepts_only_one(self, capsys):
+        args = build_parser().parse_args(["serve", "--threads", "1"])
+        assert args.threads == 1
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", "--threads", "2"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_top_level_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:

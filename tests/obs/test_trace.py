@@ -91,8 +91,7 @@ class TestEngineSpans:
         plan.run(x, trace=buf)
         spans = buf.snapshot()
         roots = [s for s in spans if s.cat == "engine" and s.name == "plan_run"]
-        steps = [s for s in spans if s.cat == "kernel"
-                 and "chunk_index" not in s.attrs]
+        steps = [s for s in spans if s.cat == "kernel"]
         assert len(roots) == 1
         assert len(steps) == len(plan)
         assert sorted(s.attrs["step"] for s in steps) == list(range(len(plan)))
@@ -108,19 +107,6 @@ class TestEngineSpans:
         plan.run(x, trace=buf)
         problems = validate_span_tree(buf.snapshot())
         assert problems == []
-
-    def test_threaded_chunked_run_has_chunk_spans_under_steps(self):
-        plan, x = _plan_and_input(batch=8)
-        buf = TraceBuffer()
-        plan.run(x, threads=2, trace=buf)
-        spans = buf.snapshot()
-        chunks = [s for s in spans if "chunk_index" in s.attrs]
-        assert chunks, "threads=2 on batch=8 must chunk at least one step"
-        steps_by_id = {s.span_id: s for s in spans
-                       if s.cat == "kernel" and "chunk_index" not in s.attrs}
-        for c in chunks:
-            assert c.parent_id in steps_by_id
-        assert validate_span_tree(spans) == []
 
     def test_untraced_run_emits_nothing_and_accepts_trace_none(self):
         plan, x = _plan_and_input()

@@ -117,7 +117,6 @@ class TestHandleDrain:
 def _spawn_serve(tmp_path, extra_args=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
-    env.setdefault("REPRO_THREADS", "1")
     env.pop("REPRO_CHAOS", None)
     proc = subprocess.Popen(
         [
